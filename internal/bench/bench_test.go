@@ -108,7 +108,7 @@ func benchConsensus(b *testing.B, n int, opts ...net.Option) {
 func BenchmarkConsensus(b *testing.B) {
 	// The virtual series runs under the step scheduler — the default mode, so
 	// these are the numbers the deterministic-trace contract actually costs.
-	for _, n := range []int{3, 10, 50, 200} {
+	for _, n := range []int{3, 10, 50, 200, 1000} {
 		b.Run(fmt.Sprintf("virtual/n=%d", n), func(b *testing.B) {
 			benchConsensus(b, n, net.WithSeed(1))
 		})
@@ -465,7 +465,7 @@ func TestEmitBenchJSON(t *testing.T) {
 		return &r
 	}
 
-	for _, n := range []int{3, 10, 50, 200} {
+	for _, n := range []int{3, 10, 50, 200, 1000} {
 		n := n
 		add(fmt.Sprintf("Consensus/virtual/n=%d", n), func(b *testing.B) {
 			benchConsensus(b, n, net.WithSeed(1))

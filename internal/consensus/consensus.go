@@ -81,7 +81,7 @@ type BallotConsensus struct {
 	decision    Value
 
 	attempt   *attempt
-	scratch   *attempt // the one attempt struct a proposer reuses across phases and ballots
+	scratch   *attempt      // the one attempt struct a proposer reuses across phases and ballots
 	decidedCh chan struct{} // closed when this participant learns the decision
 
 	// waiter is the proposer task blocked in Propose/awaitAttempt (step

@@ -15,13 +15,20 @@ import (
 // contract the large-n fast path was built to:
 //
 //   - steady-state unicast delivery — enqueue, dispatch, mailbox push,
-//     TryRecv — allocates nothing once the ring and event heap are warm;
+//     TryRecv — allocates nothing once the ring, the heap's key array and
+//     its body slab are warm;
 //   - a broadcast enqueue amortises to at most one allocation per call
-//     (zero in steady state; the budget of one absorbs a late event-heap
-//     doubling when the dispatcher falls behind a sustained storm).
+//     (zero in steady state: it stores one body and n 24-byte keys, and the
+//     budget of one absorbs a late doubling of the key array or the slab
+//     when the dispatcher falls behind a sustained storm).
+//
+// The structural side of the broadcast budget — one body and n keys per
+// fan-out, 24-byte keys — is pinned in heap_model_test.go, which also runs
+// under the race detector.
 
 // warmNetwork stands up a 2-process network and runs traffic until the
-// mailbox ring and event heap have reached steady-state capacity.
+// mailbox ring, the key array and the body slab have reached steady-state
+// capacity.
 func warmNetwork(t *testing.T) (*Network, Instance, Instance) {
 	t.Helper()
 	nw := NewNetwork(2, WithSeed(1), WithDelays(0, 10*time.Microsecond))
@@ -70,7 +77,7 @@ func TestBroadcastEnqueueAmortisesToOneAllocation(t *testing.T) {
 		nw.Endpoint(model.ProcessID(p)).Instance("storm").Handle(sink)
 	}
 	src := nw.Endpoint(0).Instance("storm")
-	for i := 0; i < 64; i++ { // warm the event heap
+	for i := 0; i < 64; i++ { // warm the key array and the body slab
 		src.BroadcastAux("w", int64(i), 0, nil)
 	}
 	avg := testing.AllocsPerRun(200, func() {

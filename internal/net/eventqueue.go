@@ -21,12 +21,13 @@ const (
 	evCrash
 )
 
-// event is one pending delivery in the scheduler's priority queue, ordered by
-// (at, seq): at is the virtual-nanosecond delivery time, seq the enqueue
-// sequence number that breaks ties FIFO. A message event carries the mailbox
-// it resolves to, interned at enqueue time, so the dispatcher delivers
-// without any per-message map lookup. A timer event carries the core and the
-// lease generation it was scheduled under. A crash event reuses msg.To as the
+// event is one delivery as the dispatcher sees it, materialised from a heap
+// key and the body it points at when the key pops: at is the
+// virtual-nanosecond delivery time, seq the enqueue sequence number that
+// breaks ties FIFO. A message event carries the mailbox it resolves to,
+// interned at enqueue time, so the dispatcher delivers without any
+// per-message map lookup. A timer event carries the core and the lease
+// generation it was scheduled under. A crash event reuses msg.To as the
 // crashing process.
 type event struct {
 	at     int64
@@ -38,6 +39,32 @@ type event struct {
 	msg    Message
 	tm     *timerCore
 	box    *mailbox
+}
+
+// heapKey is what the scheduler's min-heap actually orders: the (at, seq)
+// pair plus the body slot it refers to and, for a broadcast body, the
+// recipient index. It is 24 bytes and pointer-free, so a sift moves a few
+// words instead of a whole event and the garbage collector never scans the
+// heap's backing array.
+type heapKey struct {
+	at   int64
+	seq  uint64
+	slot uint32 // index into eventQueue.bodies
+	idx  uint32 // broadcast recipient; 0 for single-recipient bodies
+}
+
+// eventBody is a slab entry shared by the keys that point at it. A unicast
+// message, timer fire or crash owns one body through one key, and ev holds
+// the whole event bar at and seq, which the key carries. A broadcast stores
+// a single body for all its recipients: ev.msg is the template, boxes the
+// recipients' mailboxes, and the key for recipient i reads as the template
+// with To=i, SentAt=template.SentAt+i and box=&boxes[i] — the per-recipient
+// contract of pushBroadcast. refs counts the keys still in the heap; the last
+// one popped returns the slot to the free list.
+type eventBody struct {
+	ev    event
+	boxes []mailbox // non-nil exactly for broadcast bodies
+	refs  uint32
 }
 
 // splitmix64 is the cheap, statistically solid PRNG used to draw message
@@ -54,7 +81,8 @@ func (s *splitmix64) next() uint64 {
 }
 
 // eventQueue is the discrete-event core of the network: a min-heap of
-// (at, seq, event) drained by a single dispatcher goroutine.
+// (at, seq) keys over a slab of event bodies, drained by a single dispatcher
+// goroutine.
 //
 // In virtual-time mode (the default) the queue never waits in wall-clock
 // time: popping an event advances the virtual clock to the event's timestamp,
@@ -73,7 +101,9 @@ func (s *splitmix64) next() uint64 {
 // without the old goroutine-per-message cost.
 type eventQueue struct {
 	mu      sync.Mutex
-	heap    []event // min-heap by (at, seq); hand-rolled to avoid interface boxing
+	heap    []heapKey   // min-heap by (at, seq); hand-rolled to avoid interface boxing
+	bodies  []eventBody // slab the keys point into
+	free    []uint32    // body slots with no live key, reused LIFO
 	seq     uint64
 	leases  uint64 // timer lease ids handed out by this queue (run-local)
 	rng     splitmix64
@@ -98,7 +128,7 @@ type eventQueue struct {
 
 func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate float64, realtime bool) *eventQueue {
 	q := &eventQueue{
-		heap:     make([]event, 0, eventHeapCap(n)),
+		heap:     make([]heapKey, 0, eventHeapCap(n)),
 		rng:      splitmix64{x: uint64(seed)},
 		dropRng:  splitmix64{x: uint64(seed) ^ 0xd1b54a32d192ed03},
 		minDelay: int64(minDelay),
@@ -117,16 +147,16 @@ func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate
 	return q
 }
 
-// eventHeapCap sizes the event heap's initial backing array. The queue's
+// eventHeapCap sizes the initial backing array of heap keys. The queue's
 // high-water mark is set by broadcast storms — every participant reacting to
-// one round of traffic with a broadcast of its own enqueues O(n²) events
-// before the dispatcher drains them — so growing the heap from zero by
-// append-doubling re-copies ~2× the peak on every fresh network. That churn,
-// not the events themselves, dominated bytes/op of the consensus benchmarks
-// (events are value types inside this one array; there is no per-event
-// allocation to pool away). Pre-sizing to n² removes it; the clamp keeps tiny
-// test networks cheap and bounds the up-front cost at large n, where one
-// further doubling round is acceptable.
+// one round of traffic with a broadcast of its own enqueues O(n²) keys
+// before the dispatcher drains them — so growing the key array from zero by
+// append-doubling re-copies ~2× the peak on every fresh network. Pre-sizing
+// to n² keys (24 bytes each) removes that churn; the clamp keeps tiny test
+// networks cheap and bounds the up-front cost at large n, where one further
+// doubling round is acceptable. The body slab needs no presize: a broadcast
+// adds one body for all its n keys, so under a broadcast storm the slab
+// stays O(n) deep while the keys reach O(n²).
 func eventHeapCap(n int) int {
 	const minCap, maxCap = 64, 32768
 	c := n * n
@@ -202,7 +232,7 @@ func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
 	base := q.base()
 	at := base + q.drawDelay()
 	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evMessage, sentAt: base, msg: msg, box: box})
+	q.heapPush(at, eventBody{ev: event{kind: evMessage, sentAt: base, msg: msg, box: box}})
 	q.mu.Unlock()
 	q.poke(q.notify)
 	return true
@@ -220,10 +250,12 @@ func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
 // recipient order 0..n-1. A broadcast therefore consumes the seeded streams
 // identically to the n-call serial loop it replaces, and the resulting
 // (deliveryTime, seq) schedule is byte-identical; only the number of lock
-// acquisitions and heap operations changes. The batch is appended and the
-// heap re-established in one pass: a full bottom-up heapify when the run is
-// large relative to the heap (container/heap's Init strategy, O(len) beats
-// n× sift-up's O(n·log len)), per-element sift-up otherwise.
+// acquisitions and heap operations changes. All recipients share one body
+// (see eventBody), so the fan-out costs one slab entry plus one 24-byte key
+// per survivor. The keys are appended and the heap re-established in one
+// pass: a full bottom-up heapify when the run is large relative to the heap
+// (container/heap's Init strategy, O(len) beats n× sift-up's O(n·log len)),
+// per-element sift-up otherwise.
 func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int, ok bool) {
 	q.mu.Lock()
 	if q.closed {
@@ -232,20 +264,21 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 	}
 	base := q.base()
 	start := len(q.heap)
+	slot := q.newBody(eventBody{ev: event{kind: evMessage, sentAt: base, msg: tmpl}, boxes: boxes})
 	for i := range boxes {
 		if q.dropThreshold > 0 && q.dropRng.next() < q.dropThreshold {
 			continue
 		}
 		at := base + q.drawDelay()
 		q.seq++
-		m := tmpl
-		m.To = model.ProcessID(i)
-		m.SentAt = tmpl.SentAt + model.Time(i)
-		q.heap = append(q.heap, event{at: at, seq: q.seq, kind: evMessage, sentAt: base, msg: m, box: &boxes[i]})
+		q.heap = append(q.heap, heapKey{at: at, seq: q.seq, slot: slot, idx: uint32(i)})
 	}
 	enqueued = len(q.heap) - start
 	if enqueued > 0 {
+		q.bodies[slot].refs = uint32(enqueued)
 		q.restoreAppended(start)
+	} else {
+		q.freeBody(slot)
 	}
 	q.mu.Unlock()
 	if enqueued > 0 {
@@ -254,7 +287,7 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 	return enqueued, true
 }
 
-// restoreAppended re-establishes the heap invariant after a run of events was
+// restoreAppended re-establishes the heap invariant after a run of keys was
 // appended at index start. For a small run each element sifts up; for a run
 // comparable to the heap size a full bottom-up heapify is cheaper (O(len)
 // versus O(run·log len)). Caller holds q.mu.
@@ -283,7 +316,7 @@ func (q *eventQueue) pushCrash(p model.ProcessID, at int64) {
 		return
 	}
 	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evCrash, msg: Message{To: p}})
+	q.heapPush(at, eventBody{ev: event{kind: evCrash, msg: Message{To: p}}})
 	q.mu.Unlock()
 	q.poke(q.notify)
 }
@@ -300,7 +333,7 @@ func (q *eventQueue) scheduleTimer(tc *timerCore, at int64, gen, tid uint64) {
 		return
 	}
 	q.seq++
-	q.heapPush(event{at: at, seq: q.seq, kind: evTimer, tm: tc, tgen: gen, tid: tid})
+	q.heapPush(at, eventBody{ev: event{kind: evTimer, tm: tc, tgen: gen, tid: tid}})
 	q.mu.Unlock()
 	q.poke(q.notify)
 }
@@ -394,7 +427,7 @@ func (q *eventQueue) popBatch(dst []event) ([]event, bool) {
 					tm.Stop()
 					continue
 				}
-			} else if head.kind != evMessage {
+			} else if q.kindOf(head) != evMessage {
 				// Virtual time is about to jump to a timer deadline (or a
 				// scheduled crash). First wait for every timer fire already
 				// handed out to be consumed — a process still reacting to
@@ -436,8 +469,7 @@ func (q *eventQueue) popBatch(dst []event) ([]event, bool) {
 			}
 		}
 		for len(q.heap) > 0 && q.heap[0].at <= limit {
-			dst = append(dst, q.heap[0])
-			q.heapPopHead()
+			dst = append(dst, q.heapPopHead())
 		}
 		if limit > q.vnow {
 			q.vnow = limit
@@ -509,7 +541,7 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 			continue
 		}
 		head := q.heap[0]
-		if head.at > q.vnow && head.kind != evMessage {
+		if head.at > q.vnow && q.kindOf(head) != evMessage {
 			if q.outstanding.Load() > 0 {
 				q.mu.Unlock()
 				select {
@@ -527,8 +559,7 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 				continue
 			}
 		}
-		ev := q.heap[0]
-		q.heapPopHead()
+		ev := q.heapPopHead()
 		if ev.at > q.vnow {
 			q.vnow = ev.at
 			q.vnowAtomic.Store(ev.at)
@@ -548,7 +579,7 @@ func (q *eventQueue) setHeld(held bool) {
 	}
 }
 
-// close shuts the queue down and returns the number of message events it
+// close shuts the queue down and returns the number of message keys it
 // discarded, so the caller can keep sent == delivered + dropped balanced.
 func (q *eventQueue) close() int {
 	q.mu.Lock()
@@ -558,68 +589,115 @@ func (q *eventQueue) close() int {
 	}
 	q.closed = true
 	dropped := 0
-	for _, ev := range q.heap {
-		if ev.kind == evMessage {
+	for _, k := range q.heap {
+		if q.kindOf(k) == evMessage {
 			dropped++
 		}
 	}
-	q.heap = nil
+	q.heap, q.bodies, q.free = nil, nil, nil
 	q.mu.Unlock()
 	close(q.quit)
 	return dropped
 }
 
-// --- min-heap on []event, ordered by (at, seq) ---
+// --- min-heap of heapKey over the body slab, ordered by (at, seq) ---
 //
-// Hand-rolled instead of container/heap so events stay values in the backing
+// Hand-rolled instead of container/heap so keys stay values in the backing
 // slice: no interface boxing, hence no per-message allocation on the delivery
-// path.
+// path. Sifts carry the moving key in a local and shift the others into the
+// hole, one 24-byte store per level.
 
-func eventLess(a, b event) bool {
+func keyLess(a, b heapKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) heapPush(ev event) {
-	q.heap = append(q.heap, ev)
+// kindOf reports the kind of the event key k points at.
+func (q *eventQueue) kindOf(k heapKey) eventKind { return q.bodies[k.slot].ev.kind }
+
+// newBody stores b in a free slab slot, or a new one, and returns the slot.
+func (q *eventQueue) newBody(b eventBody) uint32 {
+	if n := len(q.free); n > 0 {
+		slot := q.free[n-1]
+		q.free = q.free[:n-1]
+		q.bodies[slot] = b
+		return slot
+	}
+	q.bodies = append(q.bodies, b)
+	return uint32(len(q.bodies) - 1)
+}
+
+// freeBody clears a slot (releasing its payload references) and returns it
+// to the free list.
+func (q *eventQueue) freeBody(slot uint32) {
+	q.bodies[slot] = eventBody{}
+	q.free = append(q.free, slot)
+}
+
+// heapPush stores body b under one new key at time at, drawing the key's
+// sequence number from q.seq, which the caller has just advanced.
+func (q *eventQueue) heapPush(at int64, b eventBody) {
+	b.refs = 1
+	q.heap = append(q.heap, heapKey{at: at, seq: q.seq, slot: q.newBody(b)})
 	q.siftUp(len(q.heap) - 1)
 }
 
 func (q *eventQueue) siftUp(i int) {
+	k := q.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(q.heap[i], q.heap[parent]) {
+		if !keyLess(k, q.heap[parent]) {
 			break
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		q.heap[i] = q.heap[parent]
 		i = parent
 	}
+	q.heap[i] = k
 }
 
 func (q *eventQueue) siftDown(i, n int) {
+	k := q.heap[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && eventLess(q.heap[l], q.heap[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && eventLess(q.heap[r], q.heap[smallest]) {
-			smallest = r
+		if r := c + 1; r < n && keyLess(q.heap[r], q.heap[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !keyLess(q.heap[c], k) {
+			break
 		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
-		i = smallest
+		q.heap[i] = q.heap[c]
+		i = c
 	}
+	q.heap[i] = k
 }
 
-func (q *eventQueue) heapPopHead() {
+// heapPopHead removes the head key and returns its event, built from the
+// body it points at. The last key out of a body frees its slot. Caller holds
+// q.mu and has checked the heap is non-empty.
+func (q *eventQueue) heapPopHead() event {
+	k := q.heap[0]
 	n := len(q.heap) - 1
 	q.heap[0] = q.heap[n]
-	q.heap[n] = event{} // release payload reference
 	q.heap = q.heap[:n]
-	q.siftDown(0, n)
+	if n > 0 {
+		q.siftDown(0, n)
+	}
+	b := &q.bodies[k.slot]
+	ev := b.ev
+	ev.at, ev.seq = k.at, k.seq
+	if b.boxes != nil {
+		ev.msg.To = model.ProcessID(k.idx)
+		ev.msg.SentAt += model.Time(k.idx)
+		ev.box = &b.boxes[k.idx]
+	}
+	b.refs--
+	if b.refs == 0 {
+		q.freeBody(k.slot)
+	}
+	return ev
 }

@@ -42,8 +42,8 @@ func broadcastSchedule(t *testing.T, seed int64, drop float64, opts ...Option) [
 	defer nw.Close()
 	nw.Freeze()
 	for r := 0; r < rounds; r++ {
-		nw.Endpoint(model.ProcessID(r % n)).Broadcast("sched", "b", r)
-		nw.Endpoint(model.ProcessID((r + 1) % n)).Send(model.ProcessID((r+2)%n), "sched", "u", r)
+		nw.Endpoint(model.ProcessID(r%n)).Broadcast("sched", "b", r)
+		nw.Endpoint(model.ProcessID((r+1)%n)).Send(model.ProcessID((r+2)%n), "sched", "u", r)
 	}
 	nw.Thaw()
 	// Let the dispatcher drain, then collect what each recipient saw. The
