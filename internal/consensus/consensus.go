@@ -80,23 +80,21 @@ type BallotConsensus struct {
 	decided     bool
 	decision    Value
 
-	attempt   *attempt
-	scratch   *attempt      // the one attempt struct a proposer reuses across phases and ballots
-	decidedCh chan struct{} // closed when this participant learns the decision
+	attempt *attempt
+	scratch *attempt // the one attempt struct a proposer reuses across phases and ballots
 
-	// waiter is the proposer task blocked in Propose/awaitAttempt (step
-	// mode): the acceptor handler, which runs on the dispatch goroutine,
-	// wakes it alongside the channel notifies so the scheduler sees the
-	// handoff. At most one Propose runs per participant, so one slot is
-	// enough.
+	// waiter is the proposer task blocked in Propose/awaitAttempt: the
+	// acceptor handler, which runs on the dispatch goroutine, wakes it when
+	// an acknowledgement, a rejection or the decision arrives. At most one
+	// Propose runs per participant, so one slot is enough.
 	waiter net.TaskWaiter
 
 	stop *stopper
 }
 
 // stopper is a close-once signal. A group's participants share one stop
-// signal and one decision signal, so each costs one channel for all n
-// processes; a standalone participant gets its own pair.
+// signal, so it costs one channel for all n processes; a standalone
+// participant gets its own.
 type stopper struct {
 	once sync.Once
 	ch   chan struct{}
@@ -115,7 +113,6 @@ type attempt struct {
 	bestBal   Ballot
 	bestVal   Value
 	hasBest   bool
-	updated   chan struct{}
 	valueSent Value
 }
 
@@ -167,8 +164,8 @@ func NewBallotConsensus(ep *net.Endpoint, instance string, omega fd.Omega, guard
 
 // init wires a (possibly slab-allocated) participant in place and registers
 // its delivery handler. Group constructors pass shared options and a shared
-// stop signal; the per-participant state is just the struct, its decided
-// channel and the handler registration — the acceptor role runs reactively
+// stop signal; the per-participant state is just the struct and the handler
+// registration — the acceptor role runs reactively
 // on the network's dispatch goroutine, so a participant spawns no goroutine
 // at all.
 func (c *BallotConsensus) init(ep *net.Endpoint, inst net.Instance, omega fd.Omega, guard quorum.Guard, o *options, stop *stopper) {
@@ -182,7 +179,6 @@ func (c *BallotConsensus) init(ep *net.Endpoint, inst net.Instance, omega fd.Ome
 	c.promised = -1
 	c.accepted = -1
 	c.maxSeen = -1
-	c.decidedCh = make(chan struct{})
 	c.stop = stop
 	inst.Handle(c)
 }
@@ -211,26 +207,20 @@ func (c *BallotConsensus) Decision() (Value, bool) {
 // blocked Propose costs no wall-clock time.
 func (c *BallotConsensus) Propose(ctx context.Context, v Value) (Value, error) {
 	c.metrics.Inc("propose")
-	// Submit to the step scheduler: if the network runs in step mode and the
-	// caller brought no task, the calling goroutine is adopted for the span
-	// of this Propose, so raw-network callers (benchmarks, package tests)
-	// take steps under the same deterministic discipline as scenario runners.
+	// A caller that brought no task (a benchmark, a package test) is adopted
+	// for the span of this Propose, so it takes steps under the same
+	// deterministic discipline as scenario runners.
 	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.propose")
 	defer release()
 	task := net.TaskFrom(ctx)
-	if task != nil {
-		c.waiter.Set(task)
-		defer c.waiter.Clear()
-	}
+	c.waiter.Set(task)
+	defer c.waiter.Clear()
 	// One poll ticker serves the whole call: the non-leader wait below and
-	// the leader's quorum waits inside awaitAttempt park on the same lease,
-	// so a Propose costs one timer lease however many ballots it leads. The
-	// lease must always be consumed by whichever select is currently
-	// blocking — an unconsumed virtual-time fire holds the clock until its
-	// owner receives it — so the ticker is stopped around Sleep (the one
-	// blocking call that does not receive from it) and at every exit. The
-	// stops are spelled out instead of deferred: a defer closure over the
-	// ticker variable is a heap allocation on every Propose.
+	// the leader's quorum waits inside awaitAttempt consume the same lease,
+	// so a Propose costs one timer lease however many ballots it leads. It is
+	// stopped around the backoff Sleep and at every exit. The stops are
+	// spelled out instead of deferred: a defer closure over the ticker
+	// variable is a heap allocation on every Propose.
 	ticker := c.ep.NewTicker(c.poll)
 	ticker.Bind(task)
 	for {
@@ -255,61 +245,31 @@ func (c *BallotConsensus) Propose(ctx context.Context, v Value) (Value, error) {
 			ticker.Bind(task)
 			continue
 		}
-		if task != nil {
-			// Step mode: the select below becomes condition rechecks around a
-			// scheduler park. Wakes arrive from the acceptor handler (via
-			// waiter), the bound ticker, and a crash of this process.
-			if err := c.ep.Context().Err(); err != nil {
-				ticker.Stop()
-				return nil, fmt.Errorf("consensus propose: %w", err)
-			}
-			if err := ctx.Err(); err != nil {
-				ticker.Stop()
-				return nil, fmt.Errorf("consensus propose: %w", err)
-			}
-			if ticker.TryFire() {
-				c.ep.Clock().Tick()
-				select {
-				case <-c.stop.ch:
-					ticker.Stop()
-					return nil, fmt.Errorf("consensus propose: participant stopped")
-				default:
-				}
-				continue
-			}
-			task.Await(ctx)
-			continue
-		}
-		select {
-		case <-c.ep.Context().Done():
+		// Condition rechecks around a scheduler park. Wakes arrive from the
+		// acceptor handler (via waiter), the bound ticker, and a crash of this
+		// process.
+		if err := c.ep.Context().Err(); err != nil {
 			ticker.Stop()
-			return nil, fmt.Errorf("consensus propose: %w", c.ep.Context().Err())
-		case <-c.decidedCh:
-		case <-ticker.C:
+			return nil, fmt.Errorf("consensus propose: %w", err)
+		}
+		if err := ctx.Err(); err != nil {
+			ticker.Stop()
+			return nil, fmt.Errorf("consensus propose: %w", err)
+		}
+		if ticker.TryFire() {
 			// A "nop" step while waiting: advance the logical clock so
 			// time-based detector behaviour (suspicion delays, leadership
-			// changes) makes progress even without message traffic. The
-			// caller's context and the stop signal are re-checked here
-			// rather than parked on — two fewer channels per select, and
-			// every blocked select costs one runtime sudog per channel, per
-			// waiter, re-allocated after each GC. The latency cost is one
-			// poll tick; the ticker keeps firing through both conditions
-			// (cancellation and group Stop leave the network running), and
-			// the cases above cover the events that do silence it: crash
-			// and close fire the endpoint context, a decision closes
-			// decidedCh.
+			// changes) makes progress even without message traffic.
 			c.ep.Clock().Tick()
-			if err := ctx.Err(); err != nil {
-				ticker.Stop()
-				return nil, fmt.Errorf("consensus propose: %w", err)
-			}
 			select {
 			case <-c.stop.ch:
 				ticker.Stop()
 				return nil, fmt.Errorf("consensus propose: participant stopped")
 			default:
 			}
+			continue
 		}
+		task.Await(ctx)
 	}
 }
 
@@ -376,15 +336,15 @@ func (c *BallotConsensus) nextBallot() Ballot {
 }
 
 // newAttempt readies the proposer's attempt state for one phase of one
-// ballot. The attempt struct, its acknowledgement set and its update channel
-// are reused across phases and ballots (a participant runs at most one
+// ballot. The attempt struct and its acknowledgement set are reused across
+// phases and ballots (a participant runs at most one
 // attempt at a time), so a proposal's steady state allocates them once.
 func (c *BallotConsensus) newAttempt(b Ballot, phase string) *attempt {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	att := c.scratch
 	if att == nil {
-		att = &attempt{acked: model.NewProcessSetCap(c.ep.N()), updated: make(chan struct{}, 1)}
+		att = &attempt{acked: model.NewProcessSetCap(c.ep.N())}
 		c.scratch = att
 	}
 	att.ballot = b
@@ -395,10 +355,6 @@ func (c *BallotConsensus) newAttempt(b Ballot, phase string) *attempt {
 	att.bestVal = nil
 	att.hasBest = false
 	att.valueSent = nil
-	select {
-	case <-att.updated:
-	default:
-	}
 	c.attempt = att
 	return att
 }
@@ -435,45 +391,27 @@ func (c *BallotConsensus) awaitAttempt(ctx context.Context, att *attempt, ticker
 		if satisfied {
 			return true, nil
 		}
-		if task != nil {
-			// Step mode: park; acknowledgement arrivals (handler-side waiter
-			// wakes), ticker fires and crashes all grant us a recheck step.
-			if err := ctx.Err(); err != nil {
-				return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, err)
-			}
-			if err := c.ep.Context().Err(); err != nil {
-				return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, c.ep.Context().Err())
-			}
-			if ticker.TryFire() {
-				c.ep.Clock().Tick()
-				select {
-				case <-c.stop.ch:
-					return false, fmt.Errorf("consensus ballot %d: participant stopped", att.ballot)
-				default:
-				}
-				continue
-			}
-			task.Await(ctx)
-			continue
+		// Park: acknowledgement arrivals (handler-side waiter wakes), ticker
+		// fires and crashes all grant us a recheck step.
+		if err := ctx.Err(); err != nil {
+			return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, err)
 		}
-		select {
-		case <-ctx.Done():
-			return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, ctx.Err())
-		case <-c.ep.Context().Done():
-			return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, c.ep.Context().Err())
-		case <-att.updated:
-		case <-ticker.C:
+		if err := c.ep.Context().Err(); err != nil {
+			return false, fmt.Errorf("consensus ballot %d: %w", att.ballot, err)
+		}
+		if ticker.TryFire() {
 			// Nop step: keeps Σ re-evaluation (whose output can shrink as
 			// suspicion delays expire) and the logical clock moving while
-			// acknowledgements are outstanding. Stop is re-checked on the
-			// tick instead of parked on, as in Propose.
+			// acknowledgements are outstanding.
 			c.ep.Clock().Tick()
 			select {
 			case <-c.stop.ch:
 				return false, fmt.Errorf("consensus ballot %d: participant stopped", att.ballot)
 			default:
 			}
+			continue
 		}
+		task.Await(ctx)
 	}
 }
 
@@ -487,7 +425,6 @@ func (c *BallotConsensus) learn(v Value) {
 	c.decided = true
 	c.decision = v
 	c.metrics.Inc("decided")
-	close(c.decidedCh)
 	c.waiter.Wake()
 }
 
@@ -496,8 +433,8 @@ func (c *BallotConsensus) learn(v Value) {
 // dispatch goroutine. There is no receive loop and no goroutine behind it —
 // an idle acceptor costs nothing. The dispatcher already suppresses
 // deliveries to crashed processes, so the only gate needed here is the stop
-// signal; everything it does (mutex-guarded state updates, non-blocking
-// notifies, sends and broadcasts, which merely enqueue) is non-blocking, as
+// signal; everything it does (mutex-guarded state updates, task wakes,
+// sends and broadcasts, which merely enqueue) is non-blocking, as
 // Handle requires.
 func (c *BallotConsensus) HandleMessage(msg net.Message) {
 	select {
@@ -559,7 +496,6 @@ func (c *BallotConsensus) handle(msg net.Message) {
 				att.bestVal = msg.Payload
 				att.hasBest = true
 			}
-			notify(att.updated)
 			c.waiter.Wake()
 		}
 		c.mu.Unlock()
@@ -569,7 +505,6 @@ func (c *BallotConsensus) handle(msg net.Message) {
 		c.mu.Lock()
 		if att := c.attempt; att != nil && att.phase == msgAccept && att.ballot == ballot {
 			att.acked.Add(msg.From)
-			notify(att.updated)
 			c.waiter.Wake()
 		}
 		c.mu.Unlock()
@@ -582,7 +517,6 @@ func (c *BallotConsensus) handle(msg net.Message) {
 		}
 		if att := c.attempt; att != nil && att.ballot == ballot {
 			att.rejected = true
-			notify(att.updated)
 			c.waiter.Wake()
 		}
 		c.mu.Unlock()
@@ -599,12 +533,5 @@ func (c *BallotConsensus) handle(msg net.Message) {
 			// decision wave allocate nothing.
 			c.inst.Broadcast(msgDecide, msg.Payload)
 		}
-	}
-}
-
-func notify(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
 	}
 }

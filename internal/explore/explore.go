@@ -88,8 +88,8 @@ type Options struct {
 	// messages, grants up to the trace boundary) into the novelty signature.
 	// Unlike DepthSignal it stays on the reproducible side of the contract:
 	// the counters are part of the pinned schedule, so explorations remain
-	// byte-identical per seed with it on. Runs without a pinned trace (the
-	// free-running ablation, timeout-tainted runs) share one "~" territory.
+	// byte-identical per seed with it on. Runs without a pinned trace
+	// (timeout-tainted runs) share one "~" territory.
 	TraceSignal bool
 	// OnRun, if non-nil, streams every executed run as it completes (run is
 	// the 1-based run index within the budget). Called concurrently from

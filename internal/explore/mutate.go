@@ -41,9 +41,8 @@ func (m Mutator) weight() float64 {
 // goroutine-step scheduler a crash racing a decision is an ordinary (time,
 // seq)-ordered event against a deterministic grant schedule, so even those
 // runs are a pure function of the seed. (An earlier alphabet capped crashes
-// at 500µs to keep them clear of decision moments, which the free-running
-// runtime could not order reproducibly; the step scheduler lifted that
-// restriction.)
+// at 500µs to keep them clear of decision moments, which the runtime before
+// the step scheduler could not order reproducibly.)
 const (
 	maxCrashAt    = 5 * time.Millisecond
 	delayFloor    = time.Millisecond

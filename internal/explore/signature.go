@@ -58,7 +58,7 @@ func SignatureOf(res *scenario.Result, withDepth, withTrace bool) string {
 // traceShape buckets the step scheduler's trace counters: delivered events,
 // messages among them, and task step grants, each on the shared log4 scale —
 // how much schedule a run burned, not what it computed. Runs without a
-// pinned trace (the free-running ablation, timeout-tainted runs) render "~":
+// pinned trace (timeout-tainted runs) render "~":
 // one territory, deliberately not subdivided, because their schedule suffix
 // is exactly the part the scheduler could not pin.
 //

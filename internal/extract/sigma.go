@@ -61,6 +61,8 @@ type SigmaExtractor struct {
 
 	ctx      context.Context
 	cancel   context.CancelFunc
+	runTask  *net.Task
+	respTask *net.Task
 	done     chan struct{}
 	respDone chan struct{}
 }
@@ -89,7 +91,9 @@ type SigmaExtractorConfig struct {
 
 // StartSigmaExtractor starts the transformation at one process. Every process
 // of the system must run one for the construction to be meaningful (each
-// provides the responder of task 2 and writes its own register).
+// provides the responder of task 2 and writes its own register). Both tasks
+// of Figure 1 run as scheduler tasks of the endpoint's network, so the
+// construction's steps interleave deterministically with everything else.
 func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 	interval := cfg.Interval
 	if interval == 0 {
@@ -114,8 +118,9 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 		done:     make(chan struct{}),
 		respDone: make(chan struct{}),
 	}
-	go e.respond()
-	go e.run()
+	nw := cfg.Endpoint.Network()
+	e.respTask = nw.Go(cfg.Endpoint, "extract.respond", e.respond)
+	e.runTask = nw.Go(cfg.Endpoint, "extract.run", e.run)
 	return e
 }
 
@@ -136,9 +141,12 @@ func (e *SigmaExtractor) Rounds() int {
 // Metrics returns the extractor's metrics sink.
 func (e *SigmaExtractor) Metrics() *trace.Metrics { return e.metrics }
 
-// Stop terminates the extractor's background goroutines.
+// Stop terminates the extractor's tasks: it cancels their context and wakes
+// them, so each observes the cancellation on its next step and exits.
 func (e *SigmaExtractor) Stop() {
 	e.cancel()
+	e.runTask.Wake()
+	e.respTask.Wake()
 	<-e.done
 	<-e.respDone
 }
@@ -152,40 +160,48 @@ type pongMsg struct {
 }
 
 // respond implements task 2 of Figure 1: answer every ping.
-func (e *SigmaExtractor) respond() {
+func (e *SigmaExtractor) respond(task *net.Task) {
 	defer close(e.respDone)
-	inbox := e.ep.Subscribe(e.pingInst)
+	in := e.ep.Instance(e.pingInst)
+	in.Watch(task)
 	for {
-		select {
-		case <-e.ctx.Done():
-			return
-		case <-e.ep.Context().Done():
-			return
-		case msg := <-inbox:
+		for {
+			msg, ok := in.TryRecv()
+			if !ok {
+				break
+			}
 			if msg.Type == "ping" {
 				e.ep.Send(msg.From, e.pongInst, "pong", pongMsg{Token: msg.Payload.(pingMsg).Token})
 			}
 		}
+		if e.ctx.Err() != nil || e.ep.Context().Err() != nil {
+			return
+		}
+		task.Await(nil)
 	}
 }
 
-// run implements task 1 of Figure 1.
-func (e *SigmaExtractor) run() {
+// run implements task 1 of Figure 1. The register operations and the pause
+// run inside this task (ctx carries it), so they park it rather than adopt
+// tasks of their own.
+func (e *SigmaExtractor) run(task *net.Task) {
 	defer close(e.done)
+	ctx := net.WithTask(e.ctx, task)
 	self := int(e.ep.ID())
-	pongs := e.ep.Subscribe(e.pongInst)
+	pongs := e.ep.Instance(e.pongInst)
+	pongs.Watch(task)
 
 	sets := []model.ProcessSet{model.AllProcesses(e.ep.N())} // Ei, with Pi(0) = Π
 	prev := model.AllProcesses(e.ep.N())                     // Pi(k-1)
 	token := int64(0)
 
 	for k := 1; ; k++ {
-		if e.ctx.Err() != nil || e.ep.Crashed() {
+		if ctx.Err() != nil || e.ep.Crashed() {
 			return
 		}
 		// Line 8: write (k, Ei) into our own register and record the
 		// participants of the write.
-		participants, err := e.regs[self].WriteTracked(e.ctx, RegContents{K: k, Sets: cloneSets(sets)})
+		participants, err := e.regs[self].WriteTracked(ctx, RegContents{K: k, Sets: cloneSets(sets)})
 		if err != nil {
 			return
 		}
@@ -197,23 +213,18 @@ func (e *SigmaExtractor) run() {
 
 		// Lines 11-16: read every register and select one live member of
 		// every participant set it contains.
-		aborted := false
-		for j := 0; j < e.ep.N() && !aborted; j++ {
-			contents, err := e.regs[j].Read(e.ctx)
+		for j := 0; j < e.ep.N(); j++ {
+			contents, err := e.regs[j].Read(ctx)
 			if err != nil {
 				return
 			}
 			for _, x := range contents.Sets {
-				pt, ok := e.selectFrom(x, &token, pongs)
+				pt, ok := e.selectFrom(ctx, task, x, &token, pongs)
 				if !ok {
-					aborted = true
-					break
+					return
 				}
 				trusted.Add(pt)
 			}
-		}
-		if aborted {
-			return
 		}
 
 		// Line 17: publish the new Σ-output.
@@ -230,22 +241,15 @@ func (e *SigmaExtractor) run() {
 
 		// Inter-round pause on the network's virtual clock: free in
 		// wall-clock terms, ordered against the traffic of the round.
-		timer := e.ep.NewTimer(e.interval)
-		select {
-		case <-e.ctx.Done():
-			timer.Stop()
+		if e.ep.Sleep(ctx, e.interval) != nil {
 			return
-		case <-e.ep.Context().Done():
-			timer.Stop()
-			return
-		case <-timer.C:
 		}
 	}
 }
 
 // selectFrom sends a ping to every member of x and waits for the first pong
 // for this token from a member of x (lines 14-16 of Figure 1).
-func (e *SigmaExtractor) selectFrom(x model.ProcessSet, token *int64, pongs <-chan net.Message) (model.ProcessID, bool) {
+func (e *SigmaExtractor) selectFrom(ctx context.Context, task *net.Task, x model.ProcessSet, token *int64, pongs net.Instance) (model.ProcessID, bool) {
 	*token++
 	t := *token
 	for _, q := range x.Slice() {
@@ -253,20 +257,21 @@ func (e *SigmaExtractor) selectFrom(x model.ProcessSet, token *int64, pongs <-ch
 		e.metrics.Inc("pings")
 	}
 	for {
-		select {
-		case <-e.ctx.Done():
-			return 0, false
-		case <-e.ep.Context().Done():
-			return 0, false
-		case msg := <-pongs:
-			if msg.Type != "pong" {
-				continue
+		msg, ok := pongs.TryRecv()
+		if !ok {
+			if ctx.Err() != nil || e.ep.Context().Err() != nil {
+				return 0, false
 			}
-			if msg.Payload.(pongMsg).Token != t || !x.Contains(msg.From) {
-				continue // stale pong from an earlier token
-			}
-			return msg.From, true
+			task.Await(ctx)
+			continue
 		}
+		if msg.Type != "pong" {
+			continue
+		}
+		if msg.Payload.(pongMsg).Token != t || !x.Contains(msg.From) {
+			continue // stale pong from an earlier token
+		}
+		return msg.From, true
 	}
 }
 

@@ -17,19 +17,15 @@
 //     crash) also rests on the partial-synchrony assumption; the oracle FS in
 //     internal/fd is the assumption-free reference.
 //
-// All intervals and timeouts are measured on the network's clock: virtual
-// time under the default virtual-time scheduler (where a heartbeat round
-// costs no wall-clock time), wall-clock time under net.WithRealTime. Under
-// the default step scheduler the loops run as scheduler tasks with
-// task-bound tickers: the dispatcher delivers a tick only once every task is
-// parked, so virtual time cannot run ahead of the detector loops by
-// construction. Under the free-running ablation (net.WithFreeRunning) the
-// channel tickers' event-queue backpressure plays that role heuristically —
-// either way the partial-synchrony assumption these detectors need survives
-// time being simulated.
+// All intervals and timeouts are measured in the network's virtual time, so a
+// heartbeat round costs no wall-clock time. The loops run as scheduler tasks
+// with task-bound tickers: the dispatcher delivers a tick only once every
+// task is parked, so virtual time cannot run ahead of the detector loops by
+// construction, and the partial-synchrony assumption these detectors need
+// survives time being simulated.
 //
-// All three run a background goroutine per process; callers must Stop them
-// (or close the network) when done.
+// All three run one scheduler task per process; callers must Stop them (or
+// close the network) when done.
 //
 // The whole family is also packaged as the "heartbeat" class of
 // fd.DefaultRegistry (see heartbeat.go), so scenario sweeps and explore runs
@@ -67,11 +63,10 @@ const sigmaInstance = "fdimpl.sigma"
 // (trivially intersecting with everything).
 //
 // The probe ticker and the first probe are issued synchronously, before
-// Start returns: under the virtual-time scheduler the pending ticker is what
-// stops the clock from racing past this process while its loop goroutine is
-// still being scheduled. The loop consumes its instance exclusively through
-// Endpoint.TryRecv — do not Subscribe to it elsewhere. Start a whole
-// ensemble under Network.Freeze/Thaw for a simultaneous boot.
+// Start returns, so their place in the schedule does not depend on when the
+// loop task first runs. The loop consumes its instance exclusively through
+// Endpoint.TryRecv — nothing else may read it. Start a whole ensemble under
+// Network.Freeze/Thaw for a simultaneous boot.
 func StartMajoritySigma(ep *net.Endpoint, interval time.Duration) *MajoritySigma {
 	s := &MajoritySigma{
 		ep:       ep,
@@ -144,9 +139,8 @@ func (s *MajoritySigma) run(task *net.Task) {
 
 	// Drain synchronously before advancing the round: TryRecv reads the
 	// mailbox ring directly, so everything the dispatcher has delivered up to
-	// this tick is processed first. In step mode the run-to-quiescence
-	// handshake paces rounds by processing progress; in free-running mode,
-	// holding the tick back holds virtual time back (see net.Timer).
+	// this tick is processed first, and the run-to-quiescence handshake paces
+	// rounds by processing progress.
 	tick := func() {
 		for {
 			msg, ok := s.ep.TryRecv(sigmaInstance)
@@ -160,31 +154,19 @@ func (s *MajoritySigma) run(task *net.Task) {
 		s.ep.Broadcast(sigmaInstance, "probe", sigmaProbe{Round: round})
 	}
 
-	if task != nil {
-		for {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			if s.ep.Context().Err() != nil {
-				return
-			}
-			if s.ticker.TryFire() {
-				tick()
-			} else {
-				task.Await(nil)
-			}
-		}
-	}
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-s.ep.Context().Done():
+		default:
+		}
+		if s.ep.Context().Err() != nil {
 			return
-		case <-s.ticker.C:
+		}
+		if s.ticker.TryFire() {
 			tick()
+		} else {
+			task.Await(nil)
 		}
 	}
 }
@@ -214,8 +196,8 @@ const omegaInstance = "fdimpl.omega"
 // several times the heartbeat interval plus the maximum expected message
 // delay, all in virtual time. Setup (ticker, first heartbeat) happens
 // synchronously, before Start returns; the loop consumes its instance
-// exclusively through Endpoint.TryRecv — do not Subscribe to it elsewhere.
-// Start a whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
+// exclusively through Endpoint.TryRecv — nothing else may read it. Start a
+// whole ensemble under Network.Freeze/Thaw for a simultaneous boot.
 func StartHeartbeatOmega(ep *net.Endpoint, interval, timeout time.Duration) *HeartbeatOmega {
 	o := &HeartbeatOmega{
 		ep:       ep,
@@ -275,9 +257,9 @@ func (o *HeartbeatOmega) run(task *net.Task) {
 
 	// Drain synchronously before recomputing: TryRecv reads the mailbox ring
 	// directly, so freshness reflects everything the dispatcher has delivered
-	// up to this tick. In the task path "now" is the fire deadline read back
-	// from the virtual clock — the dispatcher grants the woken task before
-	// popping any further event, so the clock cannot have moved past it.
+	// up to this tick. "now" is the fire deadline read back from the virtual
+	// clock — the dispatcher grants the woken task before popping any further
+	// event, so the clock cannot have moved past it.
 	tick := func(now time.Duration) {
 		for {
 			msg, ok := o.ep.TryRecv(omegaInstance)
@@ -292,31 +274,19 @@ func (o *HeartbeatOmega) run(task *net.Task) {
 		recompute(now)
 	}
 
-	if task != nil {
-		for {
-			select {
-			case <-o.stop:
-				return
-			default:
-			}
-			if o.ep.Context().Err() != nil {
-				return
-			}
-			if o.ticker.TryFire() {
-				tick(o.ep.VirtualNow())
-			} else {
-				task.Await(nil)
-			}
-		}
-	}
 	for {
 		select {
 		case <-o.stop:
 			return
-		case <-o.ep.Context().Done():
+		default:
+		}
+		if o.ep.Context().Err() != nil {
 			return
-		case now := <-o.ticker.C:
-			tick(now)
+		}
+		if o.ticker.TryFire() {
+			tick(o.ep.VirtualNow())
+		} else {
+			task.Await(nil)
 		}
 	}
 }
@@ -344,8 +314,8 @@ const fsInstance = "fdimpl.fs"
 
 // StartHeartbeatFS starts heartbeating at ep's process. Setup (ticker, first
 // heartbeat) happens synchronously, before Start returns; the loop consumes
-// its instance exclusively through Endpoint.TryRecv — do not Subscribe to it
-// elsewhere. Start a whole ensemble under Network.Freeze/Thaw for a
+// its instance exclusively through Endpoint.TryRecv — nothing else may read
+// it. Start a whole ensemble under Network.Freeze/Thaw for a
 // simultaneous boot.
 func StartHeartbeatFS(ep *net.Endpoint, interval, timeout time.Duration) *HeartbeatFS {
 	f := &HeartbeatFS{
@@ -423,31 +393,19 @@ func (f *HeartbeatFS) run(task *net.Task) {
 		}
 	}
 
-	if task != nil {
-		for {
-			select {
-			case <-f.stop:
-				return
-			default:
-			}
-			if f.ep.Context().Err() != nil {
-				return
-			}
-			if f.ticker.TryFire() {
-				tick(f.ep.VirtualNow())
-			} else {
-				task.Await(nil)
-			}
-		}
-	}
 	for {
 		select {
 		case <-f.stop:
 			return
-		case <-f.ep.Context().Done():
+		default:
+		}
+		if f.ep.Context().Err() != nil {
 			return
-		case now := <-f.ticker.C:
-			tick(now)
+		}
+		if f.ticker.TryFire() {
+			tick(f.ep.VirtualNow())
+		} else {
+			task.Await(nil)
 		}
 	}
 }

@@ -21,12 +21,10 @@
 //
 // # Place on the determinism contract
 //
-// Journal bytes are trace-tier: in step mode they are a pure function of
-// (seed, config) — two identically-configured runs journal byte-identical
-// files — and capturing them is observe-only, so a journaled run keeps the
-// TraceFingerprint of its unjournaled twin. Free-running runs have no step
-// trace and refuse journaling outright (scenario.Run fails the run rather
-// than writing an empty journal). Tainted runs (a wall-clock escape cut the
+// Journal bytes are trace-tier: they are a pure function of (seed, config) —
+// two identically-configured runs journal byte-identical files — and
+// capturing them is observe-only, so a journaled run keeps the
+// TraceFingerprint of its unjournaled twin. Tainted runs (a wall-clock escape cut the
 // schedule at a point virtual time cannot pin) journal their taint reason in
 // place of a fingerprint, and replay refuses them with that reason.
 //

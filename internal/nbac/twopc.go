@@ -50,43 +50,27 @@ type twopcDecision struct {
 // baseline.
 func (t *TwoPC) Vote(ctx context.Context, v Vote) (Outcome, error) {
 	t.metrics.Inc("vote")
-	// Step mode: adopt the caller. Blocking forever on a crashed peer is the
-	// point of the baseline; a parked task that is never woken again simply
-	// stays quiescent until the run's deadline escapes it.
+	// Adopt a caller that brought no task. Blocking forever on a crashed peer
+	// is the point of the baseline; a parked task that is never woken again
+	// simply stays quiescent until the run's deadline escapes it.
 	ctx, release := net.AdoptTask(ctx, t.ep, "twopc.vote")
 	defer release()
 	task := net.TaskFrom(ctx)
-	var in net.Instance
-	var inbox <-chan net.Message
-	if task != nil {
-		in = t.ep.Instance(t.instance)
-		in.Watch(task)
-		defer in.Watch(nil)
-	} else {
-		inbox = t.ep.Subscribe(t.instance)
-	}
+	in := t.ep.Instance(t.instance)
+	in.Watch(task)
+	defer in.Watch(nil)
 	recv := func() (net.Message, error) {
-		if task != nil {
-			for {
-				if msg, ok := in.TryRecv(); ok {
-					return msg, nil
-				}
-				if err := ctx.Err(); err != nil {
-					return net.Message{}, err
-				}
-				if err := t.ep.Context().Err(); err != nil {
-					return net.Message{}, err
-				}
-				task.Await(ctx)
+		for {
+			if msg, ok := in.TryRecv(); ok {
+				return msg, nil
 			}
-		}
-		select {
-		case <-ctx.Done():
-			return net.Message{}, ctx.Err()
-		case <-t.ep.Context().Done():
-			return net.Message{}, t.ep.Context().Err()
-		case msg := <-inbox:
-			return msg, nil
+			if err := ctx.Err(); err != nil {
+				return net.Message{}, err
+			}
+			if err := t.ep.Context().Err(); err != nil {
+				return net.Message{}, err
+			}
+			task.Await(ctx)
 		}
 	}
 

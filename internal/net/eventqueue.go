@@ -26,18 +26,15 @@ const (
 // virtual-nanosecond delivery time, seq the enqueue sequence number that
 // breaks ties FIFO. A message event carries the mailbox it resolves to,
 // interned at enqueue time, so the dispatcher delivers without any
-// per-message map lookup. A timer event carries the core and the lease
-// generation it was scheduled under. A crash event reuses msg.To as the
-// crashing process.
+// per-message map lookup. A timer event carries its timer. A crash event
+// reuses msg.To as the crashing process.
 type event struct {
 	at     int64
 	seq    uint64
 	kind   eventKind
-	tgen   uint64
-	tid    uint64 // run-local timer lease id (see eventQueue.leases)
-	sentAt int64  // message events: the enqueue-time base (at - sentAt is the drawn delay)
+	sentAt int64 // message events: the enqueue-time base (at - sentAt is the drawn delay)
 	msg    Message
-	tm     *timerCore
+	tm     *Timer
 	box    *mailbox
 }
 
@@ -84,21 +81,16 @@ func (s *splitmix64) next() uint64 {
 // (at, seq) keys over a slab of event bodies, drained by a single dispatcher
 // goroutine.
 //
-// In virtual-time mode (the default) the queue never waits in wall-clock
-// time: popping an event advances the virtual clock to the event's timestamp,
-// so a 200µs injected delay reorders messages exactly as it would in real
-// time but costs nothing. Message events are stamped now+delay, so a delay
-// larger than a timer deadline really does land after that timer fires —
-// delay distributions keep their adversarial meaning. During a Freeze the
-// clock is still, so a frozen batch shares one base time and its delivery
-// order is exactly the order obtained by sorting (delay, enqueue-seq) —
-// deterministic given a seed, independent of goroutine scheduling. Timer
-// events carry absolute
-// virtual deadlines and are what actually moves the virtual clock forward.
-//
-// In real-time mode (WithRealTime) the same dispatcher waits on the wall
-// clock until the earliest event's deadline, preserving wall-clock fidelity
-// without the old goroutine-per-message cost.
+// The queue never waits in wall-clock time: popping an event advances the
+// virtual clock to the event's timestamp, so a 200µs injected delay reorders
+// messages exactly as it would in real time but costs nothing. Message
+// events are stamped now+delay, so a delay larger than a timer deadline
+// really does land after that timer fires — delay distributions keep their
+// adversarial meaning. During a Freeze the clock is still, so a frozen batch
+// shares one base time and its delivery order is exactly the order obtained
+// by sorting (delay, enqueue-seq) — deterministic given a seed, independent
+// of goroutine scheduling. Timer events carry absolute virtual deadlines and
+// are what actually moves the virtual clock forward.
 type eventQueue struct {
 	mu      sync.Mutex
 	heap    []heapKey   // min-heap by (at, seq); hand-rolled to avoid interface boxing
@@ -113,36 +105,26 @@ type eventQueue struct {
 	minDelay, maxDelay int64  // message delay range, ns
 	dropThreshold      uint64 // drop a message when dropRng.next() < threshold; 0 = reliable
 
-	realtime bool
-	epoch    time.Time // wall time of virtual zero (real-time mode)
-
 	held   bool // dispatch paused by Network.Freeze
 	closed bool
 
-	vnowAtomic  atomic.Int64  // mirror of vnow for lock-free reads
-	outstanding atomic.Int64  // timer fires handed out but not yet consumed
-	notify      chan struct{} // poked on push
-	consumed    chan struct{} // poked when an outstanding fire is consumed
-	quit        chan struct{} // closed on close()
+	vnowAtomic atomic.Int64  // mirror of vnow for lock-free reads
+	notify     chan struct{} // poked on push
+	quit       chan struct{} // closed on close()
 }
 
-func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate float64, realtime bool) *eventQueue {
+func newEventQueue(n int, seed int64, minDelay, maxDelay time.Duration, dropRate float64) *eventQueue {
 	q := &eventQueue{
 		heap:     make([]heapKey, 0, eventHeapCap(n)),
 		rng:      splitmix64{x: uint64(seed)},
 		dropRng:  splitmix64{x: uint64(seed) ^ 0xd1b54a32d192ed03},
 		minDelay: int64(minDelay),
 		maxDelay: int64(maxDelay),
-		realtime: realtime,
 		notify:   make(chan struct{}, 1),
-		consumed: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 	}
 	if dropRate > 0 {
 		q.dropThreshold = dropThresholdFor(dropRate)
-	}
-	if realtime {
-		q.epoch = time.Now()
 	}
 	return q
 }
@@ -184,12 +166,8 @@ func dropThresholdFor(dropRate float64) uint64 {
 	return uint64(scaled)
 }
 
-// virtualNow returns the current virtual time. In real-time mode it is the
-// wall-clock time elapsed since the network was created.
+// virtualNow returns the current virtual time.
 func (q *eventQueue) virtualNow() time.Duration {
-	if q.realtime {
-		return time.Since(q.epoch)
-	}
 	return time.Duration(q.vnowAtomic.Load())
 }
 
@@ -201,15 +179,6 @@ func (q *eventQueue) drawDelay() int64 {
 	}
 	span := uint64(q.maxDelay-q.minDelay) + 1
 	return q.minDelay + int64(q.rng.next()%span)
-}
-
-// base returns the enqueue-time origin deliveries are stamped from. Caller
-// holds q.mu.
-func (q *eventQueue) base() int64 {
-	if q.realtime {
-		return int64(time.Since(q.epoch))
-	}
-	return q.vnow
 }
 
 // pushMessage enqueues a delivery of msg into box at now+delay. It reports
@@ -229,7 +198,7 @@ func (q *eventQueue) pushMessage(msg Message, box *mailbox) bool {
 		q.mu.Unlock()
 		return false
 	}
-	base := q.base()
+	base := q.vnow
 	at := base + q.drawDelay()
 	q.seq++
 	q.heapPush(at, eventBody{ev: event{kind: evMessage, sentAt: base, msg: msg, box: box}})
@@ -262,7 +231,7 @@ func (q *eventQueue) pushBroadcast(tmpl Message, boxes []mailbox) (enqueued int,
 		q.mu.Unlock()
 		return 0, false
 	}
-	base := q.base()
+	base := q.vnow
 	start := len(q.heap)
 	slot := q.newBody(eventBody{ev: event{kind: evMessage, sentAt: base, msg: tmpl}, boxes: boxes})
 	for i := range boxes {
@@ -321,19 +290,15 @@ func (q *eventQueue) pushCrash(p model.ProcessID, at int64) {
 	q.poke(q.notify)
 }
 
-// scheduleTimer enqueues a fire of timer core tc's lease gen at the absolute
-// virtual time at. tid is the lease's run-local id: unlike gen — which counts
-// leases of a globally pooled core and therefore depends on process history —
-// tid is drawn from this queue's own counter, so it is reproducible across
-// runs and safe to hash into the trace digest.
-func (q *eventQueue) scheduleTimer(tc *timerCore, at int64, gen, tid uint64) {
+// scheduleTimer enqueues a fire of timer t at the absolute virtual time at.
+func (q *eventQueue) scheduleTimer(t *Timer, at int64) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return
 	}
 	q.seq++
-	q.heapPush(at, eventBody{ev: event{kind: evTimer, tm: tc, tgen: gen, tid: tid}})
+	q.heapPush(at, eventBody{ev: event{kind: evTimer, tm: t}})
 	q.mu.Unlock()
 	q.poke(q.notify)
 }
@@ -354,133 +319,12 @@ func (q *eventQueue) poke(ch chan struct{}) {
 	}
 }
 
-// fireDone records that a previously handed-out timer fire has been consumed
-// (or abandoned), allowing the dispatcher to advance virtual time again.
-func (q *eventQueue) fireDone() {
-	q.outstanding.Add(-1)
-	q.poke(q.consumed)
-}
-
-// gapYields is how many scheduler yields the free-running dispatcher grants
-// runnable goroutines before letting virtual time jump forward over an empty
-// stretch. It bounds the window in which a reactive send (e.g. an ack a
-// protocol goroutine is about to issue) could be leapfrogged by a later
-// timer. It is a heuristic, and it is exactly what step mode's quiescence
-// handshake replaces: popStep needs no yields because an empty ready queue
-// proves there is no runnable goroutine to wait for. Only the free-running
-// ablation (WithFreeRunning, real time) still uses it, via popBatch.
+// gapYields is how many scheduler yields popStep grants before letting
+// virtual time jump forward to a timer deadline or a scheduled crash; see
+// popStep.
 const gapYields = 4
 
-// popBatch blocks until the next event is due, then pops it AND every further
-// event whose delivery time has already been reached, all under one lock
-// acquisition, appending them to dst in (at, seq) order. It returns ok=false
-// once the queue closes. popBatch must only be called by the single
-// dispatcher goroutine.
-//
-// Batching matters because delivery is handoff-bound: popping one event per
-// lock acquisition made the dispatcher trade the queue lock with senders once
-// per message. A burst of same-instant deliveries (a broadcast, a frozen
-// scenario batch, zero-delay traffic) now drains in a single critical
-// section. Only events with at ≤ the (just advanced) virtual clock are
-// drained, so batching never reorders anything: the batch is exactly the
-// prefix the old one-at-a-time loop would have produced.
-func (q *eventQueue) popBatch(dst []event) ([]event, bool) {
-	yields := 0
-	for {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return dst, false
-		}
-		if q.held {
-			q.mu.Unlock()
-			select {
-			case <-q.notify:
-			case <-q.quit:
-				return dst, false
-			}
-			continue
-		}
-		if len(q.heap) == 0 {
-			q.mu.Unlock()
-			select {
-			case <-q.notify:
-			case <-q.quit:
-				return dst, false
-			}
-			continue
-		}
-		head := q.heap[0]
-		if head.at > q.vnow {
-			if q.realtime {
-				wait := time.Duration(head.at) - time.Since(q.epoch)
-				if wait > 0 {
-					q.mu.Unlock()
-					tm := time.NewTimer(wait)
-					select {
-					case <-tm.C:
-					case <-q.notify:
-					case <-q.quit:
-						tm.Stop()
-						return dst, false
-					}
-					tm.Stop()
-					continue
-				}
-			} else if q.kindOf(head) != evMessage {
-				// Virtual time is about to jump to a timer deadline (or a
-				// scheduled crash). First wait for every timer fire already
-				// handed out to be consumed — a process still reacting to
-				// "now" must not be outrun by the clock — then yield a few
-				// times so runnable goroutines can schedule earlier events
-				// (e.g. the ack a process is just about to send, which would
-				// sort before this deadline). Message events need no such
-				// pause: a message popping at now+delay cannot leapfrog
-				// anything a running goroutine would still schedule, because
-				// later sends are stamped from the later clock.
-				if q.outstanding.Load() > 0 {
-					q.mu.Unlock()
-					select {
-					case <-q.consumed:
-					case <-q.notify:
-					case <-q.quit:
-						return dst, false
-					}
-					continue
-				}
-				if yields < gapYields {
-					yields++
-					q.mu.Unlock()
-					runtime.Gosched()
-					continue
-				}
-			}
-		}
-		// Advance the clock to the head event, then drain every event that is
-		// due by the new now. In real-time mode "due" is measured against the
-		// wall clock so a late dispatcher catches up in one batch.
-		limit := q.vnow
-		if head.at > limit {
-			limit = head.at
-		}
-		if q.realtime {
-			if elapsed := int64(time.Since(q.epoch)); elapsed > limit {
-				limit = elapsed
-			}
-		}
-		for len(q.heap) > 0 && q.heap[0].at <= limit {
-			dst = append(dst, q.heapPopHead())
-		}
-		if limit > q.vnow {
-			q.vnow = limit
-			q.vnowAtomic.Store(limit)
-		}
-		q.mu.Unlock()
-		return dst, true
-	}
-}
-
-// stepResult is what popStep tells the step-mode dispatcher to do next.
+// stepResult is what popStep tells the dispatcher to do next.
 type stepResult uint8
 
 const (
@@ -489,27 +333,21 @@ const (
 	stepEvent                    // one event popped; deliver it
 )
 
-// popStep is popBatch's step-mode replacement: it blocks until there is work
-// and hands the dispatcher exactly one unit of it — a pending task grant
-// (which always takes priority, so a delivery's wake cascade settles before
-// the next event) or a single popped event with the virtual clock advanced to
-// its timestamp. Because the network is provably quiescent whenever the ready
-// queue is empty, registered tasks need no yield-loop heuristic before the
-// clock jumps to a timer deadline: there is no runnable task to outrun. Two
-// residues of the free-running machinery remain, both for goroutines the
-// quiescence proof cannot see. The outstanding-fire wait covers legacy
-// channel-fed timer consumers (Timer.C readers outside the task discipline,
-// e.g. raw-network tests); task-bound timers never touch the outstanding
-// counter. The bounded yield covers goroutines that have not yet reached
-// AdoptTask: on GOMAXPROCS=1 the grant handshake's channel handoffs keep
-// reinstalling dispatcher/task as the scheduler's next-run goroutine, which
-// can starve a runnable-but-unadopted caller for a whole preemption timeslice
-// (~10ms wall) while virtual time gallops through its poll ticks — so before
-// jumping the clock the dispatcher yields a few times to let such callers
-// run and register. Adoption order by racing plain goroutines is wall-clock
-// nondeterministic either way (such callers are never part of a trace
-// group), so the yield costs nothing from the trace contract. popStep must
-// only be called by the single dispatcher goroutine.
+// popStep blocks until there is work and hands the dispatcher exactly one
+// unit of it — a pending task grant (which always takes priority, so a
+// delivery's wake cascade settles before the next event) or a single popped
+// event with the virtual clock advanced to its timestamp. Because the network
+// is provably quiescent whenever the ready queue is empty, tasks need no
+// yield before the clock jumps to a timer deadline: there is no runnable task
+// to outrun.
+//
+// The one bounded yield is for plain goroutines that have not yet reached
+// AdoptTask (tests and benchmarks calling protocols directly): on
+// GOMAXPROCS=1 the grant handoffs can starve such a caller for a whole
+// preemption timeslice while virtual time gallops through its poll ticks, so
+// the dispatcher yields a few times before jumping the clock. Such callers
+// are never part of a trace group, so the yield does not touch the trace
+// contract. popStep must only be called by the single dispatcher goroutine.
 func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 	yields := 0
 	for {
@@ -542,16 +380,6 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 		}
 		head := q.heap[0]
 		if head.at > q.vnow && q.kindOf(head) != evMessage {
-			if q.outstanding.Load() > 0 {
-				q.mu.Unlock()
-				select {
-				case <-q.consumed:
-				case <-q.notify:
-				case <-q.quit:
-					return event{}, stepClosed
-				}
-				continue
-			}
 			if yields < gapYields {
 				yields++
 				q.mu.Unlock()

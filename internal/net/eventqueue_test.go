@@ -17,7 +17,7 @@ func deliveryOrder(t *testing.T, seed int64, k int) []int {
 	t.Helper()
 	nw := NewNetwork(2, WithSeed(seed))
 	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("order")
+	inbox := watchInbox(nw.Endpoint(1), "order")
 	nw.Freeze()
 	for i := 0; i < k; i++ {
 		nw.Endpoint(0).Send(1, "order", "n", i)
@@ -94,11 +94,11 @@ func TestVirtualDeliveryOrderIsDeterministic(t *testing.T) {
 
 // The delivery path must not spawn a goroutine per message: after thousands
 // of in-flight sends the goroutine count stays within a small constant of the
-// baseline (dispatcher + one forwarder per mailbox).
+// baseline (dispatcher + the receiving task).
 func TestNoGoroutinePerMessage(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 100*time.Microsecond))
 	defer nw.Close()
-	nw.Endpoint(1).Subscribe("flood") // create the mailbox and its forwarder
+	watchInbox(nw.Endpoint(1), "flood") // create the mailbox and its receiving task
 	baseline := runtime.NumGoroutine()
 	const k = 5000
 	for i := 0; i < k; i++ {
@@ -113,7 +113,7 @@ func TestNoGoroutinePerMessage(t *testing.T) {
 // msgs.sent == msgs.delivered + msgs.dropped holds after Close.
 func TestCloseBalancesMessageAccounting(t *testing.T) {
 	nw := NewNetwork(2)
-	nw.Endpoint(1).Subscribe("bal")
+	watchInbox(nw.Endpoint(1), "bal")
 	nw.Freeze() // hold dispatch so the sends are still in the heap at Close
 	const k = 25
 	for i := 0; i < k; i++ {
@@ -130,40 +130,22 @@ func TestCloseBalancesMessageAccounting(t *testing.T) {
 	}
 }
 
-// Crash on a network constructed without WithLog must not panic: the log
-// field is a nil *trace.Log, whose Append is a documented no-op. Regression
-// test for the nil-receiver path.
-func TestCrashWithoutLogDoesNotPanic(t *testing.T) {
-	nw := NewNetwork(2) // note: no WithLog
-	defer nw.Close()
-	nw.Crash(1)
-	if !nw.Crashed(1) {
-		t.Fatalf("crash not recorded")
-	}
-	if !nw.Pattern().Faulty().Contains(1) {
-		t.Fatalf("crash missing from failure pattern")
-	}
-}
-
 // The mailbox ring must wrap, grow, and preserve FIFO across both, with
 // consumed slots released.
 func TestMailboxRingWrapsAndGrows(t *testing.T) {
 	m := new(mailbox)
-	m.init()
 	defer m.stop()
-	out := m.subscribe()
 	next := 0
 	read := func(k int) {
 		for i := 0; i < k; i++ {
-			select {
-			case msg := <-out:
-				if msg.Payload.(int) != next {
-					t.Fatalf("out of order: got %v want %d", msg.Payload, next)
-				}
-				next++
-			case <-time.After(2 * time.Second):
-				t.Fatalf("mailbox stalled at %d", next)
+			msg, ok := m.tryPop()
+			if !ok {
+				t.Fatalf("mailbox empty at %d", next)
 			}
+			if msg.Payload.(int) != next {
+				t.Fatalf("out of order: got %v want %d", msg.Payload, next)
+			}
+			next++
 		}
 	}
 	n := 0
@@ -186,7 +168,7 @@ func TestMailboxRingWrapsAndGrows(t *testing.T) {
 func TestZeroDelayPreservesSendOrder(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 0))
 	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("fifo")
+	inbox := watchInbox(nw.Endpoint(1), "fifo")
 	const k = 200
 	for i := 0; i < k; i++ {
 		nw.Endpoint(0).Send(1, "fifo", "n", i)
@@ -235,7 +217,7 @@ func TestDropThresholdEdgeCases(t *testing.T) {
 // reliable link: with the old unclamped conversion a rounded product of
 // exactly 2⁶⁴ could yield threshold 0 and deliver everything.
 func TestDropRateJustBelowOneDropsMessages(t *testing.T) {
-	q := newEventQueue(2, 1, 0, 0, math.Nextafter(1, 0), false)
+	q := newEventQueue(2, 1, 0, 0, math.Nextafter(1, 0))
 	delivered := 0
 	for i := 0; i < 200; i++ {
 		if q.pushMessage(Message{To: 0}, nil) {

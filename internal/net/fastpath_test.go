@@ -119,7 +119,7 @@ func TestHandlerModeDeliversInOrderAndMaySend(t *testing.T) {
 	h := &recordingHandler{inst: server}
 	server.Handle(h)
 	client := nw.Endpoint(0).Instance("rpc")
-	replies := client.Subscribe()
+	replies := watchInbox(nw.Endpoint(0), "rpc")
 
 	const k = 50
 	for i := 0; i < k; i++ {
@@ -265,10 +265,10 @@ func TestLargeFanInRingGrowthKeepsPerSenderFIFO(t *testing.T) {
 	}
 }
 
-// Subscribe after a flood must surface everything already buffered: the
-// subscription forwarder starts from the ring's current contents, not from
-// the next push.
-func TestSubscribeAfterFloodDeliversBacklog(t *testing.T) {
+// A watcher registered after a flood must surface everything already
+// buffered: its first step drains the ring's current contents, it does not
+// wait for the next push.
+func TestWatchAfterFloodDeliversBacklog(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(7))
 	defer nw.Close()
 	const k = 500
@@ -276,81 +276,40 @@ func TestSubscribeAfterFloodDeliversBacklog(t *testing.T) {
 		nw.Endpoint(0).Send(1, "late", "m", i)
 	}
 	waitQuiesced(t, nw)
-	inbox := nw.Endpoint(1).Subscribe("late")
+	inbox := watchInbox(nw.Endpoint(1), "late")
 	seen := 0
 	for seen < k {
 		select {
 		case <-inbox:
 			seen++
 		case <-time.After(5 * time.Second):
-			t.Fatalf("subscriber saw %d/%d backlogged messages", seen, k)
+			t.Fatalf("watcher saw %d/%d backlogged messages", seen, k)
 		}
 	}
 }
 
-// ---- pooled timer cores ----
+// ---- timers ----
 
-// A stopped timer's core returns to the pool and is leased again with a
-// bumped generation; the recycled lease must fire for its new owner and stay
-// deaf to anything scheduled under the old one.
-func TestTimerCoreReuseAcrossLeases(t *testing.T) {
-	nw := NewNetwork(1, WithSeed(8))
-	defer nw.Close()
-
-	first := nw.NewTimer(time.Millisecond)
-	core, gen := first.core, first.gen
-	select {
-	case <-first.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first lease never fired")
-	}
-	// One-shot timers end their lease after firing; the feeder re-pools the
-	// core asynchronously, so poll briefly for the recycle.
-	deadline := time.Now().Add(5 * time.Second)
-	var second *Timer
-	for {
-		second = nw.NewTimer(time.Millisecond)
-		if second.core == core {
-			break
-		}
-		second.Stop()
-		if time.Now().After(deadline) {
-			t.Skip("pool did not hand the same core back (other tests compete for the global pool)")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if second.gen <= gen {
-		t.Fatalf("recycled lease generation %d not past %d", second.gen, gen)
-	}
-	select {
-	case <-second.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("recycled lease never fired")
-	}
-}
-
-// Stopping a lease must not leak a fire into the next lease of the same
-// core: the generation guard plus the endLease drain keep a heavy
-// create/stop churn silent.
+// Stopping a timer must discard its pending fire: a heavy create/stop churn
+// stays silent, and a fresh timer still fires afterwards.
 func TestStoppedLeasesNeverCrossTalk(t *testing.T) {
 	nw := NewNetwork(1, WithSeed(9))
 	defer nw.Close()
-	for i := 0; i < 200; i++ {
-		tm := nw.NewTimer(time.Microsecond)
-		tm.Stop()
-		select {
-		case at, ok := <-tm.C:
-			if ok {
-				t.Fatalf("iteration %d: stopped lease fired at %v", i, at)
-			}
-		default:
-		}
+	ep := nw.Endpoint(0)
+	stopped := make([]*Timer, 200)
+	for i := range stopped {
+		stopped[i] = ep.NewTimer(time.Microsecond)
+		stopped[i].Stop()
 	}
-	// After the churn a fresh lease still works.
-	tm := nw.NewTimer(time.Millisecond)
+	// Once a later timer has fired, every stopped deadline has popped.
 	select {
-	case <-tm.C:
+	case <-oneShot(ep, time.Millisecond):
 	case <-time.After(5 * time.Second):
-		t.Fatal("fresh lease after churn never fired")
+		t.Fatal("fresh timer after churn never fired")
+	}
+	for i, tm := range stopped {
+		if tm.TryFire() {
+			t.Fatalf("iteration %d: stopped timer fired", i)
+		}
 	}
 }

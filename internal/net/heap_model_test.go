@@ -33,7 +33,7 @@ type heapModel struct {
 }
 
 func newHeapModel(t *testing.T, n int, seed int64, maxDelay time.Duration, drop float64) *heapModel {
-	q := newEventQueue(n, seed, 0, maxDelay, drop, false)
+	q := newEventQueue(n, seed, 0, maxDelay, drop)
 	return &heapModel{
 		t: t, q: q,
 		rng:           q.rng,
@@ -121,12 +121,12 @@ func (m *heapModel) broadcast(from int, boxes []mailbox) {
 	}
 }
 
-func (m *heapModel) timer(tc *timerCore, gen, tid uint64) {
+func (m *heapModel) timer(tm *Timer, offset int) {
 	m.t.Helper()
-	at := m.q.vnow + int64(gen%7)*int64(time.Microsecond)
-	m.q.scheduleTimer(tc, at, gen, tid)
+	at := m.q.vnow + int64(offset%7)*int64(time.Microsecond)
+	m.q.scheduleTimer(tm, at)
 	m.seq++
-	m.expect(event{at: at, seq: m.seq, kind: evTimer, tm: tc, tgen: gen, tid: tid}, true)
+	m.expect(event{at: at, seq: m.seq, kind: evTimer, tm: tm}, true)
 }
 
 func (m *heapModel) crash(p int) {
@@ -183,7 +183,7 @@ func (m *heapModel) checkLive() {
 
 // step performs one random operation: mostly pushes early, pops as often as
 // pushes on average.
-func (m *heapModel) step(r *rand.Rand, n int, boxes []mailbox, tcs []*timerCore, pushOnly bool) {
+func (m *heapModel) step(r *rand.Rand, n int, boxes []mailbox, tms []*Timer, pushOnly bool) {
 	op := r.Intn(10)
 	if !pushOnly && op < 5 && len(m.pending) > 0 {
 		m.pop()
@@ -195,7 +195,7 @@ func (m *heapModel) step(r *rand.Rand, n int, boxes []mailbox, tcs []*timerCore,
 	case 2:
 		m.broadcast(r.Intn(n), boxes)
 	case 3:
-		m.timer(tcs[r.Intn(len(tcs))], uint64(r.Intn(100)), uint64(m.pushed))
+		m.timer(tms[r.Intn(len(tms))], r.Intn(100))
 	default:
 		m.crash(r.Intn(n))
 	}
@@ -217,9 +217,9 @@ func TestEventHeapMatchesReferenceModel(t *testing.T) {
 				m := newHeapModel(t, n, seed, 50*time.Microsecond, drop)
 				r := rand.New(rand.NewSource(seed))
 				boxes := make([]mailbox, n)
-				tcs := []*timerCore{new(timerCore), new(timerCore), new(timerCore)}
+				tms := []*Timer{new(Timer), new(Timer), new(Timer)}
 				for i := 0; i < 2000; i++ {
-					m.step(r, n, boxes, tcs, false)
+					m.step(r, n, boxes, tms, false)
 				}
 				for len(m.pending) > 0 {
 					m.pop()
@@ -228,7 +228,7 @@ func TestEventHeapMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("%d bodies still live after a drain", live)
 				}
 				for i := 0; i < 200; i++ {
-					m.step(r, n, boxes, tcs, true)
+					m.step(r, n, boxes, tms, true)
 				}
 				messages := 0
 				for _, p := range m.pending {
@@ -252,7 +252,7 @@ func TestEventHeapMatchesReferenceModel(t *testing.T) {
 // the keys fit the presized key array without growing it.
 func TestBroadcastStoresOneBody(t *testing.T) {
 	const n = 50
-	q := newEventQueue(n, 1, 0, 10*time.Microsecond, 0, false)
+	q := newEventQueue(n, 1, 0, 10*time.Microsecond, 0)
 	defer q.close()
 	boxes := make([]mailbox, n)
 	keyCap := cap(q.heap)

@@ -13,15 +13,21 @@
 //
 // Delivery is a discrete-event scheduler, not a goroutine per message: every
 // send pushes a (deliveryTime, seq) event onto a min-heap drained by one
-// dispatcher goroutine. By default the scheduler runs in virtual time — the
-// injected delay determines the delivery order exactly as it would in real
-// time, but waiting for it costs zero wall-clock time, so a run executes as
-// fast as the hardware allows and, for a batch of sends enqueued under
-// Freeze/Thaw with WithSeed, deterministically. WithRealTime switches the same scheduler to
-// wall-clock waits for fidelity experiments. Timers (Endpoint.NewTicker,
+// dispatcher goroutine. The scheduler runs in virtual time — the injected
+// delay determines the delivery order exactly as it would in real time, but
+// waiting for it costs zero wall-clock time. Timers (Endpoint.NewTicker,
 // Endpoint.NewTimer) ride the same event heap, which is how heartbeat-style
-// failure detectors stay meaningful when time is virtual. See ARCHITECTURE.md
-// for the scheduler's design and its determinism guarantees.
+// failure detectors stay meaningful when time is virtual.
+//
+// Everything that takes steps between deliveries is a Task (Network.Go,
+// Network.GoGroup, AdoptTask), and exactly one of the dispatcher or a single
+// granted task runs at any moment: the dispatcher delivers one event, then
+// runs every task it woke to its next park before popping the next. Tasks
+// wait in one way only — recheck a condition, then Task.Await — and are woken
+// by message pushes (Instance.Watch), timer fires (Timer.Bind), crashes and
+// explicit Wake calls. A run is therefore a pure function of its seed and
+// configuration, down to the trace fingerprint of its full schedule. See
+// ARCHITECTURE.md for the scheduler's design and its determinism guarantees.
 //
 // Protocol instances are interned: the first use of an instance name resolves
 // it to a per-network instState carrying the contiguous mailbox array and the
@@ -45,7 +51,7 @@ type Option func(*Network)
 
 // WithDelays sets the per-message delivery delay range. Delays are drawn
 // uniformly from [min, max]. The default is [0, 200µs], which is enough to
-// reorder messages aggressively; in virtual-time mode the magnitude is free.
+// reorder messages aggressively; in virtual time the magnitude is free.
 func WithDelays(min, max time.Duration) Option {
 	return func(n *Network) {
 		n.minDelay, n.maxDelay = min, max
@@ -53,21 +59,10 @@ func WithDelays(min, max time.Duration) Option {
 }
 
 // WithSeed seeds the delay generator. The drawn delay sequence is a pure
-// function of the seed and enqueue order; in virtual-time mode the delivery
-// order of a batch enqueued under Freeze/Thaw is then fully reproducible
-// (the virtual clock is still during a freeze, so the whole batch shares one
-// base time). Free-running senders racing the dispatcher (or each other)
-// reintroduce enqueue-order and base-time nondeterminism.
+// function of the seed and enqueue order, and tasks enqueue in a
+// deterministic order, so the whole schedule is reproducible.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.seed = seed }
-}
-
-// WithRealTime makes the scheduler wait out delays and timer deadlines on the
-// wall clock instead of virtual time. Use it for wall-clock fidelity tests;
-// everything else is faster and more reproducible in the default virtual-time
-// mode.
-func WithRealTime() Option {
-	return func(n *Network) { n.realtime = true }
 }
 
 // WithDropRate makes every message be dropped independently with probability
@@ -91,12 +86,6 @@ func WithMetrics(m *trace.Metrics) Option {
 	return func(n *Network) { n.metrics = m }
 }
 
-// WithLog attaches an event log; the network records crashes into it. Without
-// it the network's log is nil, which trace.Log accepts and discards.
-func WithLog(l *trace.Log) Option {
-	return func(n *Network) { n.log = l }
-}
-
 // WithSerialBroadcast makes Broadcast enqueue its n per-recipient sends one
 // at a time (n queue-lock acquisitions and n sift-ups) instead of through the
 // batched single-lock fast path. Both paths consume the seeded RNG streams in
@@ -107,25 +96,12 @@ func WithSerialBroadcast() Option {
 	return func(n *Network) { n.serial = true }
 }
 
-// WithFreeRunning disables the deterministic goroutine-step scheduler and
-// lets protocol goroutines race the dispatcher, as the runtime did before
-// run-to-quiescence stepping: events are popped in timestamp batches, the
-// anti-gallop heuristics (bounded yields plus unbuffered-timer backpressure)
-// pace virtual time, and determinism holds only for schedule-determined
-// outcomes, not traces. It is kept as a benchmarked ablation — the measured
-// price of the step discipline — and as the mode real-time runs use.
-// Networks in free-running mode never produce a trace fingerprint.
-func WithFreeRunning() Option {
-	return func(n *Network) { n.freeRunning = true }
-}
-
 // WithTraceRecorder attaches rec to the step scheduler's trace stream: every
 // record the trace digest hashes (events, grants, exits — see TraceRecord) is
 // also passed to rec, in hash order, while a trace group is armed. The
 // recorder is observe-only: attaching one cannot perturb the schedule, so a
 // journaled run and a plain run of the same seeded configuration produce the
-// same TraceFingerprint. A no-op in free-running or real-time mode, which
-// have no step trace to record.
+// same TraceFingerprint.
 func WithTraceRecorder(rec TraceRecorder) Option {
 	return func(n *Network) { n.traceRec = rec }
 }
@@ -138,20 +114,13 @@ type Network struct {
 	clock    *Clock
 	pattern  *model.FailurePattern
 	metrics  *trace.Metrics
-	log      *trace.Log
 	minDelay time.Duration
 	maxDelay time.Duration
 	seed     int64
 	dropRate float64
-	realtime bool
 	serial   bool
-
-	// freeRunning disables run-to-quiescence stepping (WithFreeRunning);
-	// real-time mode implies it. When false, stepper holds the scheduler
-	// state and the dispatcher runs dispatchStep instead of the batch loop.
-	freeRunning bool
-	stepper     *stepper
-	traceRec    TraceRecorder
+	stepper  *stepper
+	traceRec TraceRecorder
 
 	q *eventQueue
 
@@ -199,10 +168,8 @@ func NewNetwork(n int, opts ...Option) *Network {
 	nw.cDelivered = nw.metrics.Counter("msgs.delivered")
 	nw.cDropped = nw.metrics.Counter("msgs.dropped")
 	nw.cCrashes = nw.metrics.Counter("crashes")
-	nw.q = newEventQueue(n, nw.seed, nw.minDelay, nw.maxDelay, nw.dropRate, nw.realtime)
-	if !nw.freeRunning && !nw.realtime {
-		nw.stepper = newStepper(nw.q, nw.traceRec)
-	}
+	nw.q = newEventQueue(n, nw.seed, nw.minDelay, nw.maxDelay, nw.dropRate)
+	nw.stepper = newStepper(nw.q, nw.traceRec)
 	nw.instances = make(map[string]*instState)
 	nw.endpoints = make([]Endpoint, n)
 	for i := range nw.endpoints {
@@ -252,9 +219,6 @@ func (nw *Network) intern(name string) *instState {
 			sent:  nw.metrics.Counter("msgs.sent." + name),
 			boxes: make([]mailbox, nw.n),
 		}
-		for i := range st.boxes {
-			st.boxes[i].init()
-		}
 		if nw.closed.Load() {
 			for i := range st.boxes {
 				st.boxes[i].stop()
@@ -277,7 +241,6 @@ func (nw *Network) Crash(p model.ProcessID) {
 	}
 	t := nw.clock.Tick()
 	nw.pattern.Crash(p, t)
-	nw.log.Append(t, p, "crash", "process crashed")
 	nw.cCrashes.Inc()
 	ep.ctx.cancel()
 	ep.stopTimers()
@@ -329,12 +292,10 @@ func (nw *Network) Close() {
 		ep.ctx.cancel()
 		ep.stopTimers()
 	}
-	if nw.stepper != nil {
-		// Release every task blocked on a grant (parked, or waiting its first
-		// step) so their goroutines can observe cancellation and exit; the
-		// dispatcher never waits on an aborted task.
-		nw.stepper.abortAll()
-	}
+	// Release every task blocked on a grant (parked, or waiting its first
+	// step) so their goroutines can observe cancellation and exit; the
+	// dispatcher never waits on an aborted task.
+	nw.stepper.abortAll()
 	if dropped := nw.q.close(); dropped > 0 {
 		nw.cDropped.Add(int64(dropped))
 	}
@@ -348,13 +309,11 @@ func (nw *Network) Close() {
 	}
 }
 
-// Freeze pauses event dispatch: sends and timer schedules are accepted and
-// queued, but nothing is delivered until Thaw. Use it to construct a batch of
-// events atomically — the scheduler then dispatches the whole batch in exact
-// (delay, enqueue-seq) order, which is what makes a seeded scenario's
-// delivery order fully deterministic regardless of how goroutines race the
-// dispatcher. Scenario drivers use it to lay out adversarial schedules before
-// releasing them.
+// Freeze pauses dispatch: sends and timer schedules are accepted and queued,
+// but nothing is delivered and no task is granted until Thaw. Use it to
+// construct a batch of events and tasks atomically — the scheduler then
+// dispatches the whole batch in exact (delay, enqueue-seq) order. Scenario
+// drivers use it to lay out the initial schedule before releasing it.
 func (nw *Network) Freeze() { nw.q.setHeld(true) }
 
 // Thaw resumes event dispatch after Freeze.
@@ -409,43 +368,16 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 	}
 }
 
-// dispatch is the single delivery goroutine. In step mode (the default) it
-// runs the run-to-quiescence loop: deliver ONE event, then grant every task
-// that delivery woke — serially, in deterministic FIFO wake order — until the
-// network is quiescent again, then pop the next event. In free-running mode
-// (WithFreeRunning, or real time) it drains the event queue in
-// (deliveryTime, seq) order with same-instant events popped as one batch
-// under a single lock acquisition (the delivery path is handoff-bound, so
-// per-event locking was the hot spot). Either way no goroutine is ever
-// spawned per message, and no lock or lookup beyond the destination mailbox's
-// own mutex is taken per delivery.
+// dispatch is the single delivery goroutine. It runs the run-to-quiescence
+// loop: deliver ONE event, then grant every task that delivery woke —
+// serially, in deterministic FIFO wake order — until the network is quiescent
+// again, then pop the next event. popStep prioritises ready tasks over due
+// events, so an event delivery's entire wake cascade (including wakes issued
+// by granted tasks themselves) settles before the next event is popped. No
+// goroutine is ever spawned per message, and no lock or lookup beyond the
+// destination mailbox's own mutex is taken per delivery.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
-	if nw.stepper != nil {
-		nw.dispatchStep()
-		return
-	}
-	var batch []event
-	for {
-		var ok bool
-		batch, ok = nw.q.popBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for i := range batch {
-			ev := &batch[i]
-			nw.deliver(ev)
-			*ev = event{} // release payload references held by the batch buffer
-		}
-	}
-}
-
-// dispatchStep is the step-mode dispatcher loop: alternate between granting
-// ready tasks to quiescence and delivering single events. popStep prioritises
-// ready tasks over due events, so an event delivery's entire wake cascade
-// (including wakes issued by granted tasks themselves) settles before the
-// next event is popped — the quiescence handshake.
-func (nw *Network) dispatchStep() {
 	s := nw.stepper
 	for {
 		ev, mode := nw.q.popStep(s)
@@ -461,7 +393,7 @@ func (nw *Network) dispatchStep() {
 	}
 }
 
-// deliver executes one popped event; shared by both dispatcher modes.
+// deliver executes one popped event.
 func (nw *Network) deliver(ev *event) {
 	switch ev.kind {
 	case evMessage:
@@ -477,7 +409,7 @@ func (nw *Network) deliver(ev *event) {
 			nw.cDelivered.Inc()
 		}
 	case evTimer:
-		ev.tm.fired(ev.at, ev.tgen)
+		ev.tm.fired(ev.at)
 	case evCrash:
 		nw.Crash(ev.msg.To)
 	}
@@ -510,8 +442,8 @@ func (c *processCtx) cancel() {
 }
 
 // Endpoint is a process's connection to the network. A protocol participant
-// running at process p sends through it and subscribes to per-instance
-// message streams.
+// running at process p sends and receives through it, one mailbox per
+// protocol instance.
 type Endpoint struct {
 	id      model.ProcessID
 	net     *Network
@@ -520,7 +452,7 @@ type Endpoint struct {
 
 	mu       sync.Mutex
 	timers   []*Timer
-	tasks    []*Task   // step-mode tasks owned by this process, woken on crash
+	tasks    []*Task   // tasks owned by this process, woken on crash
 	timerArr [4]*Timer // inline backing for timers: typical processes hold at most a few concurrent leases
 }
 
@@ -564,23 +496,11 @@ func (ep *Endpoint) Broadcast(instance, typ string, payload any) {
 	ep.net.broadcast(ep.net.intern(instance), ep.id, typ, 0, 0, payload)
 }
 
-// Subscribe returns the channel of messages addressed to this process for the
-// given protocol instance. Messages that arrive before the first Subscribe
-// call are buffered, so subscribing after communication has started does not
-// lose messages. Each instance has a single stream; concurrent readers drain
-// it cooperatively. Do not mix Subscribe and TryRecv on one instance: the
-// channel's forwarder goroutine would race TryRecv for messages.
-func (ep *Endpoint) Subscribe(instance string) <-chan Message {
-	return ep.Instance(instance).Subscribe()
-}
-
 // TryRecv pops the next buffered message for the given instance without
-// blocking, straight from the mailbox ring. Unlike Subscribe there is no
-// forwarder goroutine between the dispatcher and the caller, so after the
-// network delivers a message it is visible here immediately — which is what
-// lets timeout-driven loops (internal/fdimpl) drain their traffic
-// synchronously before acting on a tick. Do not mix with Subscribe on the
-// same instance.
+// blocking, straight from the mailbox ring: after the network delivers a
+// message it is visible here immediately, which is what lets timeout-driven
+// loops (internal/fdimpl) drain their traffic synchronously before acting on
+// a tick.
 func (ep *Endpoint) TryRecv(instance string) (Message, bool) {
 	return ep.Instance(instance).TryRecv()
 }
@@ -620,27 +540,10 @@ func (in Instance) BroadcastAux(typ string, aux, aux2 int64, payload any) {
 	in.ep.net.broadcast(in.st, in.ep.id, typ, aux, aux2, payload)
 }
 
-// Subscribe returns the channel facade over this process's mailbox; see
-// Endpoint.Subscribe.
-func (in Instance) Subscribe() <-chan Message {
-	return in.box().subscribe()
-}
-
 // TryRecv pops the next buffered message without blocking; see
 // Endpoint.TryRecv.
 func (in Instance) TryRecv() (Message, bool) {
 	return in.box().tryPop()
-}
-
-// Recv blocks until a message for this process is buffered and pops it. It
-// returns ok=false when the mailbox has stopped (network close) or the wait
-// was interrupted by Wake — callers must then re-check their own stop
-// conditions and may simply call Recv again. Unlike Subscribe there is no
-// forwarder goroutine or channel between the dispatcher and the caller: the
-// dispatcher's push wakes the receiver directly, one handoff per message. Do
-// not mix with Subscribe on the same instance.
-func (in Instance) Recv() (Message, bool) {
-	return in.box().recv()
 }
 
 // Handler is a synchronous message consumer registered with Instance.Handle.
@@ -661,30 +564,13 @@ type Handler interface {
 // participant is nothing at all.
 //
 // The handler must not block (it stalls delivery for the whole network if it
-// does) and must not call Recv/TryRecv/Subscribe on this instance; sending —
+// does) and must not call TryRecv or Watch on this instance; sending —
 // including broadcasts — is fine, the events are enqueued for later
 // dispatch. Messages already buffered before Handle are not replayed;
 // register the handler before traffic starts. Passing nil restores buffered
 // delivery.
 func (in Instance) Handle(h Handler) {
 	in.box().setHandler(h)
-}
-
-// Wake interrupts this process's pending and future Recv calls on the
-// instance, making them return ok=false so the receiving loop can observe a
-// stop condition. One Wake releases all current waiters.
-func (in Instance) Wake() {
-	in.box().wake()
-}
-
-// WakeAll interrupts the pending Recv calls of every process on this
-// instance, so a group-level shutdown can release all receiving loops at
-// once. Loops whose own stop condition has not been signalled simply observe
-// a spurious wake and block again.
-func (in Instance) WakeAll() {
-	for i := range in.st.boxes {
-		in.st.boxes[i].wake()
-	}
 }
 
 func (in Instance) box() *mailbox { return &in.st.boxes[int(in.ep.id)] }
@@ -732,60 +618,17 @@ func (ep *Endpoint) stopTimers() {
 }
 
 // mailbox is an unbounded FIFO queue: push never blocks the dispatcher, and
-// consumers take messages either directly (tryPop, recv) or through a lazily
-// created channel facade (subscribe). Internally it is a ring buffer with
-// condition-variable wakeup; consumed slots are cleared and the backing array
-// is reused, unlike the old q = q[1:] slice pump, which pinned every
-// delivered payload until the slice reallocated.
-//
-// The push fast path is lock-light: when no reader is blocked (the common
-// case for TryRecv-driven consumers, and for reactive consumers that are
-// busy processing) push is a mutex-protected ring write with no
-// condition-variable signal at all — waiters are counted, and the signal is
-// issued only when someone is actually waiting.
+// the consumer pops with tryPop, woken by its watcher task. Internally it is
+// a ring buffer; consumed slots are cleared and the backing array is reused,
+// so a delivered payload is not pinned after it is consumed.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    sync.Cond
 	buf     []Message
 	head    int
 	count   int
-	waiters int
-	wakes   uint64
 	closed  bool
 	handler Handler
-	watcher *Task // step-mode task woken per push; see Instance.Watch
-
-	out     chan Message
-	quit    chan struct{}
-	subOnce sync.Once
-}
-
-// init prepares a zero mailbox in place (mailboxes live in the instState's
-// contiguous array). The subscriber channel and its forwarder are created
-// lazily on first subscribe, so TryRecv/Recv-only consumers never pay for
-// them.
-func (m *mailbox) init() {
-	m.cond.L = &m.mu
-}
-
-// subscribe returns the channel facade, creating it and starting the
-// forwarder on first use so that TryRecv-only consumers never compete with
-// it.
-func (m *mailbox) subscribe() <-chan Message {
-	m.subOnce.Do(func() {
-		m.mu.Lock()
-		m.out = make(chan Message)
-		m.quit = make(chan struct{}, 1)
-		if m.closed {
-			m.quit <- struct{}{}
-		}
-		m.mu.Unlock()
-		go m.forward()
-	})
-	m.mu.Lock()
-	out := m.out
-	m.mu.Unlock()
-	return out
+	watcher *Task // woken per push; see Instance.Watch
 }
 
 func (m *mailbox) push(msg Message) {
@@ -807,13 +650,11 @@ func (m *mailbox) push(msg Message) {
 	}
 	m.buf[(m.head+m.count)%len(m.buf)] = msg
 	m.count++
-	awaken := m.waiters > 0
 	watcher := m.watcher
 	m.mu.Unlock()
-	if awaken {
-		m.cond.Signal()
+	if watcher != nil {
+		watcher.Wake()
 	}
-	watcher.Wake()
 }
 
 // grow doubles the ring, re-linearising the live window. Caller holds m.mu.
@@ -829,50 +670,10 @@ func (m *mailbox) grow() {
 	m.buf, m.head = buf, 0
 }
 
-// pop blocks until a message is queued or the mailbox stops.
-func (m *mailbox) pop() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.count == 0 && !m.closed {
-		m.waiters++
-		m.cond.Wait()
-		m.waiters--
-	}
-	if m.closed {
-		return Message{}, false
-	}
-	return m.popLocked(), true
-}
-
-// recv blocks like pop but is additionally released by wake, returning
-// ok=false without popping so the caller can re-check its stop conditions.
-func (m *mailbox) recv() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	entered := m.wakes
-	for m.count == 0 && !m.closed && m.wakes == entered {
-		m.waiters++
-		m.cond.Wait()
-		m.waiters--
-	}
-	if m.closed || m.count == 0 {
-		return Message{}, false
-	}
-	return m.popLocked(), true
-}
-
-// wake releases all blocked recv calls; see Instance.Wake.
 func (m *mailbox) setHandler(h Handler) {
 	m.mu.Lock()
 	m.handler = h
 	m.mu.Unlock()
-}
-
-func (m *mailbox) wake() {
-	m.mu.Lock()
-	m.wakes++
-	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // tryPop pops the next message if one is queued, without blocking.
@@ -882,47 +683,15 @@ func (m *mailbox) tryPop() (Message, bool) {
 	if m.closed || m.count == 0 {
 		return Message{}, false
 	}
-	return m.popLocked(), true
-}
-
-func (m *mailbox) popLocked() Message {
 	msg := m.buf[m.head]
 	m.buf[m.head] = Message{} // release the payload reference
 	m.head = (m.head + 1) % len(m.buf)
 	m.count--
-	return msg
-}
-
-// forward is the mailbox's only goroutine (started on first subscribe): it
-// moves messages from the ring to the subscriber channel.
-func (m *mailbox) forward() {
-	for {
-		msg, ok := m.pop()
-		if !ok {
-			return
-		}
-		select {
-		case m.out <- msg:
-		case <-m.quit:
-			return
-		}
-	}
+	return msg, true
 }
 
 func (m *mailbox) stop() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
-	quit := m.quit
 	m.mu.Unlock()
-	m.cond.Broadcast()
-	if quit != nil {
-		select {
-		case quit <- struct{}{}:
-		default:
-		}
-	}
 }

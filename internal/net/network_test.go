@@ -25,7 +25,7 @@ func TestSendAndReceive(t *testing.T) {
 	defer nw.Close()
 
 	ep0, ep1 := nw.Endpoint(0), nw.Endpoint(1)
-	inbox := ep1.Subscribe("test")
+	inbox := watchInbox(ep1, "test")
 	ep0.Send(1, "test", "hello", 99)
 
 	select {
@@ -47,7 +47,7 @@ func TestBroadcastReachesAllIncludingSelf(t *testing.T) {
 
 	inboxes := make([]<-chan Message, 4)
 	for i := 0; i < 4; i++ {
-		inboxes[i] = nw.Endpoint(model.ProcessID(i)).Subscribe("bc")
+		inboxes[i] = watchInbox(nw.Endpoint(model.ProcessID(i)), "bc")
 	}
 	nw.Endpoint(2).Broadcast("bc", "ping", nil)
 
@@ -63,14 +63,14 @@ func TestBroadcastReachesAllIncludingSelf(t *testing.T) {
 	}
 }
 
-func TestSubscribeAfterDeliveryDoesNotLoseMessages(t *testing.T) {
+func TestWatchAfterDeliveryDoesNotLoseMessages(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(3), WithDelays(0, 0))
 	defer nw.Close()
 
 	nw.Endpoint(0).Send(1, "late", "m", 1)
-	time.Sleep(20 * time.Millisecond) // let delivery happen before anyone subscribes
+	time.Sleep(20 * time.Millisecond) // let delivery happen before anyone watches
 	select {
-	case msg := <-nw.Endpoint(1).Subscribe("late"):
+	case msg := <-watchInbox(nw.Endpoint(1), "late"):
 		if msg.Payload.(int) != 1 {
 			t.Fatalf("payload = %v", msg.Payload)
 		}
@@ -83,8 +83,8 @@ func TestInstancesAreIsolated(t *testing.T) {
 	nw := NewNetwork(2, WithSeed(5), WithDelays(0, 0))
 	defer nw.Close()
 
-	a := nw.Endpoint(1).Subscribe("a")
-	b := nw.Endpoint(1).Subscribe("b")
+	a := watchInbox(nw.Endpoint(1), "a")
+	b := watchInbox(nw.Endpoint(1), "b")
 	nw.Endpoint(0).Send(1, "a", "x", nil)
 
 	select {
@@ -104,8 +104,8 @@ func TestCrashStopsDeliveryAndSending(t *testing.T) {
 	defer nw.Close()
 
 	victim := nw.Endpoint(1)
-	inbox := victim.Subscribe("x")
-	other := nw.Endpoint(2).Subscribe("x")
+	inbox := watchInbox(victim, "x")
+	other := watchInbox(nw.Endpoint(2), "x")
 
 	nw.Crash(1)
 	if !nw.Crashed(1) || !victim.Crashed() {
@@ -163,7 +163,7 @@ func TestFIFOPerMailboxWithZeroDelay(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 0))
 	defer nw.Close()
 
-	inbox := nw.Endpoint(1).Subscribe("fifo")
+	inbox := watchInbox(nw.Endpoint(1), "fifo")
 	const k = 50
 	done := make(chan struct{})
 	var got []int
@@ -213,7 +213,7 @@ func TestMetricsCountsSends(t *testing.T) {
 
 func TestCloseDropsSubsequentSends(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(0, 0))
-	inbox := nw.Endpoint(1).Subscribe("x")
+	inbox := watchInbox(nw.Endpoint(1), "x")
 	nw.Close()
 	nw.Endpoint(0).Send(1, "x", "m", nil)
 	select {
@@ -232,7 +232,7 @@ func TestManyConcurrentSendersStress(t *testing.T) {
 	var wg sync.WaitGroup
 	received := make(chan int, 5*5*perSender)
 	for i := 0; i < 5; i++ {
-		inbox := nw.Endpoint(model.ProcessID(i)).Subscribe("stress")
+		inbox := watchInbox(nw.Endpoint(model.ProcessID(i)), "stress")
 		go func() {
 			for msg := range inbox {
 				received <- msg.Payload.(int)

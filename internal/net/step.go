@@ -15,17 +15,14 @@ import (
 // goroutine-step scheduler that extends the byte-reproducibility contract
 // from schedule-determined outcomes to full traces.
 //
-// In step mode (the default; see WithFreeRunning for the ablation) every
-// scheduler-visible goroutine in the network is a Task, and exactly one of
-// the dispatcher or a single granted task runs at any moment. The dispatcher
-// pops ONE event, delivers it, then grants every task the delivery woke — in
-// deterministic FIFO wake order, one at a time, waiting for each to park or
-// exit — before popping the next event. Quiescence is a positive handshake:
-// a task is either parked in Await (having returned the scheduling token) or
-// running with the token; the ready queue being empty IS the proof that every
-// goroutine is parked on a runtime primitive. This replaces the gapYields
-// yield-loop and the unbuffered-timer backpressure heuristics of free-running
-// mode with an exact protocol.
+// Every scheduler-visible goroutine in the network is a Task, and exactly one
+// of the dispatcher or a single granted task runs at any moment. The
+// dispatcher pops ONE event, delivers it, then grants every task the delivery
+// woke — in deterministic FIFO wake order, one at a time, waiting for each to
+// park or exit — before popping the next event. Quiescence is a positive
+// handshake: a task is either parked in Await (having returned the scheduling
+// token) or running with the token; the ready queue being empty IS the proof
+// that every goroutine is parked on a runtime primitive.
 //
 // Because task execution is serialized, every event-queue push (sequence
 // number, RNG draw) and every logical-clock tick happens in an order that is
@@ -53,10 +50,6 @@ const (
 // deliveries. Tasks are created with Network.Go / Network.GoGroup (spawned
 // goroutines) or AdoptTask (the calling goroutine submits to the step
 // discipline for the duration of one operation).
-//
-// A nil *Task is valid everywhere and means "free-running mode": Wake is a
-// no-op and wait sites must use their legacy channel selects instead of
-// Await. Protocol code branches on TaskFrom(ctx) != nil.
 type Task struct {
 	id    uint64
 	name  string
@@ -76,12 +69,9 @@ type Task struct {
 // queue (FIFO — wakers are serialized by the step discipline, so the order is
 // deterministic); if it is running the credit makes its next Await return
 // immediately, so a wakeup issued between a condition check and the park can
-// never be lost. Wake on a nil, done or already-ready task is a no-op beyond
-// the credit.
+// never be lost. Wake on a done or already-ready task is a no-op beyond the
+// credit.
 func (t *Task) Wake() {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.wakes++
 	if t.state != taskParked {
@@ -202,8 +192,8 @@ func WithTask(ctx context.Context, t *Task) context.Context {
 	return context.WithValue(ctx, taskCtxKey{}, t)
 }
 
-// TaskFrom returns the task carried by ctx, or nil (free-running mode, or a
-// caller outside the step discipline).
+// TaskFrom returns the task carried by ctx, or nil for a caller outside the
+// step discipline.
 func TaskFrom(ctx context.Context) *Task {
 	if ctx == nil {
 		return nil
@@ -215,15 +205,15 @@ func TaskFrom(ctx context.Context) *Task {
 // AdoptTask submits the calling goroutine to the step discipline for the
 // duration of one operation: it blocks until the dispatcher grants it a
 // first step, returns a context carrying the new task plus a release
-// function that must be called (deferred) when the operation returns. In
-// free-running mode, or when ctx already carries a task, it is a no-op.
+// function that must be called (deferred) when the operation returns. When
+// ctx already carries a task it is a no-op.
 //
 // This is what keeps raw-network callers (benchmarks, package tests calling
 // Propose from plain goroutines) inside the deterministic protocol: without
 // adoption their sends would race the dispatcher's steps.
 func AdoptTask(ctx context.Context, ep *Endpoint, name string) (context.Context, func()) {
 	nw := ep.net
-	if nw.stepper == nil || TaskFrom(ctx) != nil {
+	if TaskFrom(ctx) != nil {
 		return ctx, func() {}
 	}
 	t := nw.stepper.newTask(ep, name, false)
@@ -233,22 +223,17 @@ func AdoptTask(ctx context.Context, ep *Endpoint, name string) (context.Context,
 	return WithTask(ctx, t), t.exit
 }
 
-// TaskWaiter is the single-waiter wake registration protocol code pairs with
-// its capacity-1 notification channels: the waiting side registers its task
-// around the wait loop, the notifying side (typically a Handle-mode handler
-// running on the dispatcher) calls Wake alongside its channel send. All
-// methods are safe on a nil task and under concurrent use.
+// TaskWaiter is a single-waiter wake registration: the waiting side
+// registers its task around the wait loop, the notifying side (typically a
+// Handle-mode handler running on the dispatcher) calls Wake when the waited-on
+// state changes. All methods are safe under concurrent use.
 type TaskWaiter struct {
 	mu sync.Mutex
 	t  *Task
 }
 
-// Set registers t as the waiter (nil is a no-op, keeping free-running call
-// sites branch-free).
+// Set registers t as the waiter.
 func (w *TaskWaiter) Set(t *Task) {
-	if t == nil {
-		return
-	}
 	w.mu.Lock()
 	w.t = t
 	w.mu.Unlock()
@@ -266,7 +251,9 @@ func (w *TaskWaiter) Wake() {
 	w.mu.Lock()
 	t := w.t
 	w.mu.Unlock()
-	t.Wake()
+	if t != nil {
+		t.Wake()
+	}
 }
 
 // TraceStats are the step-trace shape counters: cheap, schedule-determined
@@ -281,8 +268,7 @@ type TraceStats struct {
 	Grants   int64 // task steps granted
 	// TaintReason is why the trace was forfeited, when it was: the first
 	// wall-clock escape that tainted the run, naming the task and process.
-	// Empty for a clean trace (and in free-running mode, which never arms
-	// one). When set, the counters above are zero and the fingerprint is
+	// Empty for a clean trace. When set, the counters above are zero and the fingerprint is
 	// empty — the reason is the only thing a tainted run can honestly report.
 	TaintReason string
 }
@@ -305,8 +291,7 @@ const (
 
 // TraceRecord is one record of the step trace — exactly what the trace digest
 // hashes, in structured form. The stream of TraceRecords a run produces is
-// trace-tier: a pure function of (seed, config) in step mode, byte-identical
-// across runs. Fields beyond Op are populated per record type:
+// trace-tier: a pure function of (seed, config), byte-identical across runs. Fields beyond Op are populated per record type:
 //
 //   - TraceOpEvent: Kind, At, Seq, then per kind — message: From, To,
 //     Instance, Type; timer: Tid (the run-local lease id); crash: To.
@@ -379,8 +364,7 @@ type TraceRecorder interface {
 	Record(TraceRecord)
 }
 
-// stepper is the run-to-quiescence scheduler state owned by a step-mode
-// Network: the deterministic ready queue, the grant/yield token protocol and
+// stepper is the run-to-quiescence scheduler state owned by a Network: the deterministic ready queue, the grant/yield token protocol and
 // the streaming trace digest.
 type stepper struct {
 	q *eventQueue
@@ -609,11 +593,7 @@ func (s *stepper) recordEvent(ev *event) {
 		r.SentAt = ev.sentAt
 	case evTimer:
 		s.stats.Timers++
-		// The run-local lease id, not ev.tgen: gen counts leases of a
-		// globally pooled timer core, so it depends on what earlier networks
-		// in the process did with that core — hashing it would make the
-		// fingerprint process-history-dependent.
-		r.Tid = ev.tid
+		r.Tid = ev.tm.id
 	case evCrash:
 		s.stats.Crashes++
 		r.To = uint64(ev.msg.To)
@@ -639,16 +619,8 @@ func (s *stepper) recordExit(t *Task) {
 	s.record(&TraceRecord{Op: TraceOpExit, Task: t.id, Proc: uint64(t.ep.id), Group: t.group})
 }
 
-// StepMode reports whether this network runs under the deterministic
-// goroutine-step scheduler (the default) as opposed to the free-running
-// ablation (WithFreeRunning) or real-time mode.
-func (nw *Network) StepMode() bool { return nw.stepper != nil }
-
 // Go spawns fn as a scheduler-visible task owned by ep: the goroutine takes
 // steps only when granted by the dispatcher, parking in Await between them.
-// In free-running mode fn runs as a plain goroutine and receives a nil task
-// (all Task methods and TaskFrom degrade to no-ops), so call sites are
-// mode-agnostic. The returned task is nil in free-running mode.
 func (nw *Network) Go(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, false, fn)
 }
@@ -660,10 +632,6 @@ func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
 }
 
 func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
-	if nw.stepper == nil {
-		go fn(nil)
-		return nil
-	}
 	t := nw.stepper.newTask(ep, name, group)
 	ep.registerTask(t)
 	nw.stepper.enqueue(t)
@@ -678,11 +646,7 @@ func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) 
 // TraceGroup arms trace recording and declares the number of GoGroup tasks
 // whose collective exit ends the trace. Call it before spawning them (the
 // scenario harness spawns its runners under Freeze, so none can exit early).
-// A no-op in free-running mode.
 func (nw *Network) TraceGroup(n int) {
-	if nw.stepper == nil {
-		return
-	}
 	nw.stepper.beginTraceGroup(n)
 }
 
@@ -692,11 +656,11 @@ func (nw *Network) TraceGroup(n int) {
 // exit — byte-identical across runs of an identical seeded configuration. It
 // is empty when the run was tainted by a wall-clock escape (a timeout cut the
 // run at a nondeterministic point) — the returned stats then carry only
-// TaintReason, naming the escape — and immediately empty in free-running
-// mode or when no trace group was declared.
+// TaintReason, naming the escape — and immediately empty when no trace group
+// was declared.
 func (nw *Network) TraceResult() (string, TraceStats) {
 	s := nw.stepper
-	if s == nil || !s.tracing.Load() {
+	if !s.tracing.Load() {
 		return "", TraceStats{}
 	}
 	<-s.groupDone
@@ -726,9 +690,8 @@ func (ep *Endpoint) wakeTasks() {
 }
 
 // Watch registers t to be woken whenever the dispatcher pushes a message into
-// this process's mailbox for the instance, replacing the Subscribe forwarder
-// (whose goroutine is invisible to the step scheduler) with the
-// Watch + TryRecv-drain + Await idiom:
+// this process's mailbox for the instance — the task's side of the
+// Watch + TryRecv-drain + Await receive idiom:
 //
 //	in.Watch(t)
 //	for {
@@ -737,7 +700,7 @@ func (ep *Endpoint) wakeTasks() {
 //		t.Await(ctx)
 //	}
 //
-// Watch(nil) clears the watcher. Do not mix with Subscribe on one instance.
+// Watch(nil) clears the watcher. An instance has one watcher and one reader.
 func (in Instance) Watch(t *Task) {
 	b := in.box()
 	b.mu.Lock()

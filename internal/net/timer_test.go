@@ -5,13 +5,42 @@ import (
 	"time"
 )
 
+// fireTimes spawns a task on ep that creates a timer with newTimer during its
+// first step, owns it, and reports the virtual time of each of its first k
+// fires on the returned channel, then stops it.
+func fireTimes(ep *Endpoint, newTimer func() *Timer, k int) <-chan time.Duration {
+	ch := make(chan time.Duration, k)
+	ep.Network().Go(ep, "test.timer", func(t *Task) {
+		tm := newTimer()
+		defer tm.Stop()
+		tm.Bind(t)
+		for n := 0; n < k; {
+			if tm.TryFire() {
+				ch <- ep.VirtualNow()
+				n++
+				continue
+			}
+			if ep.Context().Err() != nil {
+				return
+			}
+			t.Await(nil)
+		}
+	})
+	return ch
+}
+
+// oneShot is fireTimes for a single fire of a one-shot timer of d.
+func oneShot(ep *Endpoint, d time.Duration) <-chan time.Duration {
+	return fireTimes(ep, func() *Timer { return ep.NewTimer(d) }, 1)
+}
+
 func TestVirtualTimerFiresWithoutWallClockWait(t *testing.T) {
 	nw := NewNetwork(1)
 	defer nw.Close()
 	start := time.Now()
-	tm := nw.Endpoint(0).NewTimer(time.Hour) // an hour of virtual time
+	fired := oneShot(nw.Endpoint(0), time.Hour) // an hour of virtual time
 	select {
-	case at := <-tm.C:
+	case at := <-fired:
 		if at < time.Hour {
 			t.Fatalf("fired at virtual %v, before its deadline", at)
 		}
@@ -29,12 +58,12 @@ func TestVirtualTimerFiresWithoutWallClockWait(t *testing.T) {
 func TestVirtualTickerFiresAtIncreasingTimes(t *testing.T) {
 	nw := NewNetwork(1)
 	defer nw.Close()
-	ticker := nw.Endpoint(0).NewTicker(3 * time.Millisecond)
-	defer ticker.Stop()
+	ep := nw.Endpoint(0)
+	ticks := fireTimes(ep, func() *Timer { return ep.NewTicker(3 * time.Millisecond) }, 50)
 	var prev time.Duration
 	for i := 0; i < 50; i++ {
 		select {
-		case at := <-ticker.C:
+		case at := <-ticks:
 			if at <= prev {
 				t.Fatalf("tick %d at %v, not after previous %v", i, at, prev)
 			}
@@ -50,11 +79,11 @@ func TestVirtualTickerFiresAtIncreasingTimes(t *testing.T) {
 func TestPendingMessagesBeatLaterTimers(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(50*time.Microsecond, 100*time.Microsecond))
 	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("beat")
-	tm := nw.Endpoint(0).NewTimer(10 * time.Millisecond)
+	inbox := watchInbox(nw.Endpoint(1), "beat")
+	fired := oneShot(nw.Endpoint(0), 10*time.Millisecond)
 	nw.Endpoint(0).Send(1, "beat", "m", nil)
 	select {
-	case <-tm.C:
+	case <-fired:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("timer never fired")
 	}
@@ -75,12 +104,11 @@ func TestPendingMessagesBeatLaterTimers(t *testing.T) {
 func TestLargeDelayLandsAfterTimer(t *testing.T) {
 	nw := NewNetwork(2, WithDelays(50*time.Millisecond, 50*time.Millisecond))
 	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("slow")
+	inbox := watchInbox(nw.Endpoint(1), "slow")
 
 	// Advance the virtual clock well past the message delay magnitude.
-	warm := nw.Endpoint(0).NewTimer(100 * time.Millisecond)
 	select {
-	case <-warm.C:
+	case <-oneShot(nw.Endpoint(0), 100*time.Millisecond):
 	case <-time.After(5 * time.Second):
 		t.Fatalf("warm-up timer never fired")
 	}
@@ -98,61 +126,40 @@ func TestLargeDelayLandsAfterTimer(t *testing.T) {
 }
 
 // A crashed process's timers are stopped automatically; an abandoned,
-// never-consumed ticker must not freeze virtual time for the survivors.
+// never-consumed ticker must not hold up the survivors.
 func TestCrashReleasesEndpointTimers(t *testing.T) {
 	nw := NewNetwork(2)
 	defer nw.Close()
-	nw.Endpoint(0).NewTicker(time.Millisecond) // never consumed
+	ticker := nw.Endpoint(0).NewTicker(time.Millisecond) // never consumed
 	nw.Crash(0)
-	survivor := nw.Endpoint(1).NewTimer(5 * time.Millisecond)
+	if !ticker.Stopped() {
+		t.Fatal("crashed process's ticker still live")
+	}
 	select {
-	case <-survivor.C:
+	case <-oneShot(nw.Endpoint(1), 5*time.Millisecond):
 	case <-time.After(5 * time.Second):
-		t.Fatalf("survivor's timer starved: crashed process's ticker still holds virtual time")
+		t.Fatalf("survivor's timer starved after the crash")
 	}
 }
 
 func TestTimerStopIsIdempotent(t *testing.T) {
 	nw := NewNetwork(1)
 	defer nw.Close()
-	ticker := nw.Endpoint(0).NewTicker(time.Millisecond)
-	<-ticker.C
+	ep := nw.Endpoint(0)
+	var ticker *Timer
+	<-fireTimes(ep, func() *Timer {
+		ticker = ep.NewTicker(time.Millisecond)
+		return ticker
+	}, 1)
 	ticker.Stop()
 	ticker.Stop()
+	if ticker.TryFire() {
+		t.Fatal("stopped ticker still yields fires")
+	}
 	// After Stop the dispatcher must still make progress.
-	tm := nw.NewTimer(time.Millisecond)
 	select {
-	case <-tm.C:
+	case <-oneShot(ep, time.Millisecond):
 	case <-time.After(5 * time.Second):
 		t.Fatalf("dispatcher wedged after ticker Stop")
-	}
-}
-
-// WithRealTime preserves wall-clock fidelity: delays and timer deadlines are
-// actually waited out.
-func TestRealTimeModeWaitsWallClock(t *testing.T) {
-	nw := NewNetwork(2, WithRealTime(), WithDelays(5*time.Millisecond, 5*time.Millisecond))
-	defer nw.Close()
-	inbox := nw.Endpoint(1).Subscribe("rt")
-	start := time.Now()
-	nw.Endpoint(0).Send(1, "rt", "m", nil)
-	select {
-	case <-inbox:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("real-time delivery never happened")
-	}
-	if wall := time.Since(start); wall < 4*time.Millisecond {
-		t.Fatalf("5ms real-time delay delivered after only %v", wall)
-	}
-
-	start = time.Now()
-	tm := nw.Endpoint(0).NewTimer(10 * time.Millisecond)
-	select {
-	case <-tm.C:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("real-time timer never fired")
-	}
-	if wall := time.Since(start); wall < 8*time.Millisecond {
-		t.Fatalf("10ms real-time timer fired after only %v", wall)
 	}
 }

@@ -15,9 +15,8 @@
 // (Encode), the property the determinism tests pin under -race. Capture is
 // observe-only — an Analyzer rides the TraceRecorder tee beside the digest
 // and the journal, so a probed run keeps the TraceFingerprint of its
-// unprobed twin. Free-running runs have no record stream to fold and refuse
-// probes with a reason (scenario.Run fails the run, mirroring the journal
-// refusal); tainted runs forfeit them the way they forfeit the fingerprint.
+// unprobed twin. Tainted runs forfeit them the way they forfeit the
+// fingerprint.
 //
 // # Histogram bucketing
 //

@@ -128,32 +128,20 @@ func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
 		if val.Phase != model.PsiBottom {
 			break
 		}
-		if task != nil {
-			if err := ctx.Err(); err != nil {
-				return Decision{}, fmt.Errorf("qc propose: %w", err)
-			}
-			if err := q.ep.Context().Err(); err != nil {
-				return Decision{}, fmt.Errorf("qc propose: %w", err)
-			}
-			if ticker.TryFire() {
-				q.ep.Clock().Tick()
-			} else {
-				task.Await(ctx)
-			}
-			continue
+		if err := ctx.Err(); err != nil {
+			return Decision{}, fmt.Errorf("qc propose: %w", err)
 		}
-		q.ep.Clock().Tick()
-		select {
-		case <-ctx.Done():
-			return Decision{}, fmt.Errorf("qc propose: %w", ctx.Err())
-		case <-q.ep.Context().Done():
-			return Decision{}, fmt.Errorf("qc propose: %w", q.ep.Context().Err())
-		case <-ticker.C:
+		if err := q.ep.Context().Err(); err != nil {
+			return Decision{}, fmt.Errorf("qc propose: %w", err)
+		}
+		if ticker.TryFire() {
+			q.ep.Clock().Tick()
+		} else {
+			task.Await(ctx)
 		}
 	}
 	// The ⊥-wait is over; release the ticker before blocking in the embedded
-	// consensus, whose waits ride their own timers — an unconsumed virtual
-	// tick would freeze the network's clock.
+	// consensus, whose waits ride their own timers.
 	ticker.Stop()
 
 	// Lines 2-4: if Ψ behaves like FS, a failure has occurred; return Quit.

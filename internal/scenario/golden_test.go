@@ -16,7 +16,7 @@ type goldenRun struct {
 	name    string
 	s       *Scenario
 	proto   Protocol
-	trace   string // Result.TraceFingerprint; empty: not pinned yet
+	trace   string // Result.TraceFingerprint
 	outcome string // hex SHA-256 of Result.Fingerprint()
 }
 
@@ -89,11 +89,12 @@ func goldenRuns() []goldenRun {
 		{"consensus/heartbeat/0@200us", New(4, WithSeed(212), heartbeat, WithCrash(0, 200*time.Microsecond)), Consensus{},
 			"88eaf6950db311c15faeb25c1dd247ce72ea1652f165a97fb3d4a26949bdf99f",
 			"200195e07e268b858ffa47da78405293b0f45f6496383c57503ec6c813c3fa6c"},
-		// Only the outcome is pinned: the extractor's own loops ran outside
-		// the step discipline when this was recorded, so its trace was not
-		// reproducible yet.
+		// The outcome was recorded with the free-running dispatcher still in
+		// the build, when the extractor's loops were plain goroutines and
+		// its trace was not reproducible; the trace was recorded once they
+		// ran as scheduler tasks.
 		{"extract/sigma", New(3, WithSeed(28)), SigmaExtraction{Rounds: 2},
-			"",
+			"ffaaf18668015c30beb106010041ac61cabceeeb9621f315edf9a941f1fa0922",
 			"0266d6f361d4718977755031f7e7b539af202d4e10ab8883f5bcc2a8989656ab"},
 	}
 }
@@ -113,11 +114,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 			sum := sha256.Sum256([]byte(res.Fingerprint()))
 			outcome := hex.EncodeToString(sum[:])
-			trace := res.TraceFingerprint
-			if g.trace == "" {
-				trace = ""
-			}
-			if trace != g.trace || outcome != g.outcome {
+			if res.TraceFingerprint != g.trace || outcome != g.outcome {
 				t.Errorf("fingerprints moved\n got: %q, %q\nwant: %q, %q\noutcome:\n%s",
 					res.TraceFingerprint, outcome, g.trace, g.outcome, res.Fingerprint())
 			}

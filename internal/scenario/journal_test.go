@@ -169,19 +169,6 @@ func TestReplayRefusesProtocolMismatch(t *testing.T) {
 	}
 }
 
-// TestJournalFreeRunningRefused: the ablation has no step trace; asking it
-// to journal (or to check a replay) fails the run with a verdict naming the
-// conflict rather than producing an empty journal.
-func TestJournalFreeRunningRefused(t *testing.T) {
-	res := New(4, WithSeed(125), WithFreeRunning(), WithJournal(JournalAll)).Run(context.Background(), Consensus{})
-	if res.Verdict.OK || res.Journal != nil {
-		t.Fatalf("free-running journaled run: verdict %v, journal %v", res.Verdict, res.Journal)
-	}
-	if msg := strings.Join(res.Verdict.Violations, "; "); !strings.Contains(msg, "free-running") {
-		t.Fatalf("refusal does not name the ablation: %v", res.Verdict)
-	}
-}
-
 // TestTaintedJournalCarriesReason forces a wall-clock escape (total message
 // loss under a tight timeout: consensus can never decide, so the runners are
 // parked when the backstop fires) and pins the taint surface end to end: the

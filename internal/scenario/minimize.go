@@ -33,8 +33,8 @@ type MinimizeResult struct {
 	Fingerprint string
 	// TraceFingerprint is Result.TraceFingerprint — under MinimizeTrace it
 	// equals the reference run's by construction; under Minimize it is
-	// whatever schedule the minimal failing run took (empty in free-running
-	// mode and for tainted timeout runs).
+	// whatever schedule the minimal failing run took (empty for tainted
+	// timeout runs).
 	TraceFingerprint string
 	// Candidates is how many candidate runs were executed, including the
 	// initial reproduction.
@@ -66,8 +66,8 @@ func Minimize(ctx context.Context, cfg Config, proto Protocol) (MinimizeResult, 
 // what survives is exactly the configuration content the schedule depends on
 // — a crash scheduled after the trace ends drops out, a detector parameter
 // the schedule never consults bisects away, while anything that perturbs a
-// single delivery or grant is pinned. It requires step mode (the ablation
-// has no trace to hold fixed) and an untainted reference run.
+// single delivery or grant is pinned. It requires an untainted reference
+// run.
 //
 // When cfg journals the full record stream (Config.Journal == JournalAll),
 // acceptance widens from fingerprint equality to journal-prefix containment:
@@ -92,7 +92,7 @@ func minimize(ctx context.Context, cfg Config, proto Protocol, sameTrace bool) (
 		if ref.TraceFingerprint == "" {
 			m.memo[minimizeKey(cur)] = &memoEntry{res: ref}
 			return MinimizeResult{Config: cur, Result: ref, Candidates: m.candidates},
-				fmt.Errorf("minimize: reference run produced no trace fingerprint (free-running ablation, or a timeout-tainted run)")
+				fmt.Errorf("minimize: reference run produced no trace fingerprint (a timeout-tainted run, or no runner launched)")
 		}
 		want := ref.TraceFingerprint
 		if refJ := ref.Journal; refJ != nil && refJ.Complete() {

@@ -188,19 +188,6 @@ func TestProbesJournalOffline(t *testing.T) {
 	}
 }
 
-// TestProbesFreeRunningRefusal: the free-running ablation has no record
-// stream to fold, so asking it for probes fails the run with a reason
-// instead of returning silently empty analytics.
-func TestProbesFreeRunningRefusal(t *testing.T) {
-	res := New(4, WithSeed(111), WithFreeRunning(), WithProbes()).Run(context.Background(), Consensus{})
-	if res.Verdict.OK {
-		t.Fatal("free-running probed run passed; want a refusal verdict")
-	}
-	if res.Probes != nil {
-		t.Fatal("refused run still carries probes")
-	}
-}
-
 // TestSweepProbeAggregates: a probed grid folds per-run probes into the
 // sweep aggregate and the per-detector aggregates deterministically — the
 // fold happens in grid order after the workers join, so worker scheduling

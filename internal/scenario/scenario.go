@@ -26,7 +26,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -37,7 +36,6 @@ import (
 	"weakestfd/internal/model"
 	"weakestfd/internal/net"
 	"weakestfd/internal/probe"
-	"weakestfd/internal/trace"
 )
 
 // Crash is one entry of a scenario's fault schedule: process P crashes once
@@ -93,38 +91,24 @@ type Config struct {
 	// depth is surfaced as Result.HistoryDepth — bounded detector-activity
 	// signal, not a checker input.
 	HistoryLimit int
-	// FreeRunning runs the network under the free-running ablation
-	// (net.WithFreeRunning) instead of the default goroutine-step scheduler.
-	// Outcome-level behaviour (Verdict, Fingerprint) is contractually
-	// identical either way — only the step scheduler additionally pins the
-	// full schedule, so Result.TraceFingerprint is empty under the ablation.
-	// Like SerialBroadcast it is an ablation toggle, not a behaviour axis,
-	// and is deliberately excluded from Key and Result.Fingerprint. The
-	// environment variable WEAKESTFD_FREE_RUNNING=1 forces the ablation for
-	// every run of the process (the CI outcome-compatibility step uses it).
-	FreeRunning bool
 	// Journal selects trace journaling: 0 (the default) captures nothing,
 	// JournalAll captures the run's full record stream into Result.Journal,
 	// and k > 0 ring-buffers the last k records (cheap always-on capture
 	// that yields a suffix journal once it wraps). Journal bytes are
-	// trace-tier: a pure function of (seed, config) in step mode. Capture is
-	// observe-only — a journaled run keeps the TraceFingerprint of its
-	// unjournaled twin — so, like the ablation toggles, Journal is
-	// deliberately excluded from Key and Result.Fingerprint. Free-running
-	// runs have no step trace and refuse journaling (the run fails with a
-	// setup verdict rather than producing an empty journal).
+	// trace-tier: a pure function of (seed, config). Capture is observe-only
+	// — a journaled run keeps the TraceFingerprint of its unjournaled twin —
+	// so, like SerialBroadcast, Journal is deliberately excluded from Key
+	// and Result.Fingerprint.
 	Journal int
 	// Probes attaches the streaming probe analyzer (internal/probe) to the
 	// run's step-trace stream and publishes its fold as Result.Probes: log-
 	// bucketed virtual-time histograms, per-process grant/delivery vectors,
 	// decision depth and failure-detection latency. Probes are trace-tier —
-	// a pure function of (seed, config) in step mode — and observe-only (a
-	// probed run keeps the TraceFingerprint of its unprobed twin), so like
-	// Journal the flag is deliberately excluded from Key and
-	// Result.Fingerprint. Free-running runs have no step trace and refuse
-	// probes the same way they refuse journaling. Journaled runs compute
-	// probes implicitly, so every journal carries its live capture for
-	// replay -stats to recompute against.
+	// a pure function of (seed, config) — and observe-only (a probed run
+	// keeps the TraceFingerprint of its unprobed twin), so like Journal the
+	// flag is deliberately excluded from Key and Result.Fingerprint.
+	// Journaled runs compute probes implicitly, so every journal carries its
+	// live capture for replay -stats to recompute against.
 	Probes bool
 	// Recorder, when non-nil, is attached to the run's step-trace stream
 	// (net.WithTraceRecorder) alongside any Journal capture. It is how
@@ -136,10 +120,6 @@ type Config struct {
 
 // JournalAll selects full-stream journaling (Config.Journal).
 const JournalAll = journal.KeepAll
-
-// envFreeRunning forces the free-running ablation process-wide; see
-// Config.FreeRunning.
-var envFreeRunning = os.Getenv("WEAKESTFD_FREE_RUNNING") == "1"
 
 // DefaultHistoryLimit is the suspect-history ring cap New configures: deep
 // enough to characterise a run's detector activity, shallow enough that a
@@ -236,10 +216,6 @@ func WithPsiSwitch(after model.Time, policy fd.PsiPolicy) Option {
 // tests prove with it); the toggle exists so sweeps can cheaply double-check
 // the contract on any configuration.
 func WithSerialBroadcast() Option { return func(c *Config) { c.SerialBroadcast = true } }
-
-// WithFreeRunning selects the free-running scheduler ablation; see
-// Config.FreeRunning.
-func WithFreeRunning() Option { return func(c *Config) { c.FreeRunning = true } }
 
 // WithJournal captures the run's trace record stream into Result.Journal:
 // k == JournalAll keeps every record, k > 0 ring-buffers the last k. See
@@ -386,8 +362,6 @@ type Result struct {
 	Pattern *model.FailurePattern
 	// Metrics is the network's counter snapshot.
 	Metrics map[string]int64
-	// Trace is the run's event log (crashes, protocol events).
-	Trace []trace.Event
 	// VirtualEnd is the virtual clock when the run finished; Wall is the
 	// wall-clock time it took. Their ratio is the speedup virtual time buys.
 	VirtualEnd time.Duration
@@ -405,9 +379,8 @@ type Result struct {
 	// every delivered event, every task step grant and every clean task exit,
 	// hashed in dispatch order up to the exit of the last runner. Two
 	// identically-configured runs must produce byte-identical values — the
-	// trace-level strengthening of Fingerprint. It is empty under the
-	// free-running ablation, and empty when the run was tainted by a
-	// wall-clock escape (the Timeout backstop cut a run at a point virtual
+	// trace-level strengthening of Fingerprint. It is empty when the run
+	// launched no runner, and when the run was tainted by a wall-clock escape (the Timeout backstop cut a run at a point virtual
 	// time cannot pin; the Verdict is still deterministic, the schedule
 	// suffix is not).
 	TraceFingerprint string
@@ -415,7 +388,7 @@ type Result struct {
 	// kind, grants) — the exploration's trace-shape signature buckets these.
 	// When a wall-clock escape tainted the run, the counters are zero and
 	// TraceSummary.TaintReason names the escape (which task on which
-	// process); both are zero under the free-running ablation.
+	// process).
 	TraceSummary net.TraceStats
 	// Journal is the run's captured trace record stream (Config.Journal),
 	// ready to encode to disk; nil when journaling was off or the run
@@ -425,10 +398,9 @@ type Result struct {
 	Journal *journal.Journal
 	// Probes is the streaming probe fold over the run's record stream
 	// (Config.Probes, implied by Config.Journal != 0): byte-stable per
-	// (seed, config) in step mode, like TraceFingerprint. Nil when probes
-	// were off, the run produced no trace group, or a wall-clock escape
-	// tainted the trace (a tainted record stream pins nothing, so its fold
-	// is not published).
+	// (seed, config), like TraceFingerprint. Nil when probes were off, the
+	// run produced no trace group, or a wall-clock escape tainted the trace
+	// (a tainted record stream pins nothing, so its fold is not published).
 	Probes *probe.Probes
 }
 
@@ -445,32 +417,19 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		defer cancel()
 	}
 
-	log := trace.NewLog()
 	netOpts := []net.Option{
 		net.WithSeed(cfg.Seed),
 		net.WithDelays(cfg.MinDelay, cfg.MaxDelay),
 		net.WithDropRate(cfg.DropRate),
-		net.WithLog(log),
 	}
 	if cfg.SerialBroadcast {
 		netOpts = append(netOpts, net.WithSerialBroadcast())
 	}
-	if cfg.FreeRunning || envFreeRunning {
-		netOpts = append(netOpts, net.WithFreeRunning())
-	}
 	// Journaling, probes and replay checking all observe the step-trace
-	// stream, which the free-running ablation does not have: refuse up front
-	// with a verdict naming the conflict, rather than returning an empty
-	// journal a replay would then "diverge" on at record 0, or an empty
-	// probe fold that would masquerade as a quiet run.
+	// stream.
 	var jrec *journal.Recorder
 	var analyzer *probe.Analyzer
 	if cfg.Journal != 0 || cfg.Recorder != nil || cfg.Probes {
-		if cfg.FreeRunning || envFreeRunning {
-			res.Verdict = model.Fail("scenario trace: the free-running ablation has no step trace to journal, probe or replay; drop WithJournal/WithProbes/Config.Recorder or run in step mode")
-			res.Wall = time.Since(start)
-			return res
-		}
 		var recs []net.TraceRecorder
 		if cfg.Journal != 0 {
 			jrec = journal.NewRecorder(cfg.Journal)
@@ -575,8 +534,8 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 		launches = append(launches, launch{i: i, r: inst.Runners[i], input: input})
 	}
 	launched = len(launches)
-	stepTrace := nw.StepMode() && launched > 0
-	if stepTrace {
+	traced := launched > 0
+	if traced {
 		// Spawn the runners as trace-group tasks while dispatch is still
 		// frozen: registration order — and with it every task id, the initial
 		// ready order and the whole grant schedule — is fixed by this loop,
@@ -588,17 +547,12 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 				runOne(net.WithTask(ctx, t), l.i, l.r, l.input)
 			})
 		}
-	} else {
-		for _, l := range launches {
-			l := l
-			go runOne(ctx, l.i, l.r, l.input)
-		}
 	}
 	nw.Thaw()
 	for ; launched > 0; launched-- {
 		<-done
 	}
-	if stepTrace {
+	if traced {
 		res.TraceFingerprint, res.TraceSummary = nw.TraceResult()
 		tainted := res.TraceSummary.TaintReason != ""
 		if tainted && (jrec != nil || analyzer != nil) {
@@ -631,7 +585,6 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	}
 	res.VirtualEnd = nw.VirtualNow()
 	res.Metrics = nw.Metrics().Snapshot()
-	res.Trace = log.Events()
 	if hist != nil {
 		res.HistoryDepth = hist.Len()
 		res.HistoryDropped = hist.Dropped()

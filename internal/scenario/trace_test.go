@@ -2,11 +2,11 @@ package scenario
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"weakestfd/internal/model"
-	"weakestfd/internal/net"
 )
 
 // traceFamily lists one representative point per protocol family. Unlike
@@ -32,6 +32,8 @@ func traceFamily() []struct {
 		{"nbacqc", New(4, WithSeed(105)), NBACQC{}},
 		{"multiconsensus", New(4, WithSeed(106)), MultiConsensus{Rounds: 2}},
 		{"registers", New(3, WithSeed(107)), Registers{Values: []int{7, 8, 9}}},
+		{"extract/sigma", New(3, WithSeed(28)), SigmaExtraction{Rounds: 2}},
+		{"extract/sigma-majority", New(3, WithSeed(29)), SigmaExtraction{Majority: true, Rounds: 2}},
 	}
 }
 
@@ -77,10 +79,9 @@ func TestTraceDeterministic(t *testing.T) {
 // TestTraceDeterministicCrashAtDecisionMoment injects a crash at the exact
 // virtual instant a crash-free run of the same seed finishes deciding — the
 // tightest race between a crash event and the decision deliveries it competes
-// with. Under the free-running dispatcher this race was resolved by goroutine
-// scheduling; under the step scheduler the crash is an ordinary
-// (time, seq)-ordered event against a deterministic grant schedule, so the
-// full trace must replay byte-identically, whichever way the tie resolves.
+// with. The crash is an ordinary (time, seq)-ordered event against a
+// deterministic grant schedule, so the full trace must replay
+// byte-identically, whichever way the tie resolves.
 func TestTraceDeterministicCrashAtDecisionMoment(t *testing.T) {
 	ctx := context.Background()
 	base := New(5, WithSeed(108), WithDelays(time.Millisecond, 5*time.Millisecond))
@@ -111,29 +112,6 @@ func TestTraceDeterministicCrashAtDecisionMoment(t *testing.T) {
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("%s: outcome fingerprint diverged", tc.name)
 		}
-	}
-}
-
-// TestFreeRunningAblation pins the two sides of the determinism contract: the
-// free-running ablation keeps the outcome fingerprint of the step-mode run
-// (outcome determinism never depended on the scheduler for this family) but
-// forfeits the trace — empty fingerprint, zero counters.
-func TestFreeRunningAblation(t *testing.T) {
-	ctx := context.Background()
-	step := New(5, WithSeed(109)).Run(ctx, Consensus{})
-	free := New(5, WithSeed(109), WithFreeRunning()).Run(ctx, Consensus{})
-	if !step.Verdict.OK || !free.Verdict.OK {
-		t.Fatalf("verdicts: step %v, free-running %v", step.Verdict, free.Verdict)
-	}
-	if step.TraceFingerprint == "" {
-		t.Fatal("step-mode run produced no trace fingerprint")
-	}
-	if free.TraceFingerprint != "" || free.TraceSummary != (net.TraceStats{}) {
-		t.Fatalf("free-running run reported a trace: %q %+v", free.TraceFingerprint, free.TraceSummary)
-	}
-	if free.Fingerprint() != step.Fingerprint() {
-		t.Fatalf("outcome fingerprint differs across modes\nstep: %s\nfree: %s",
-			step.Fingerprint(), free.Fingerprint())
 	}
 }
 
@@ -178,11 +156,12 @@ func TestMinimizeTrace(t *testing.T) {
 	}
 }
 
-// TestMinimizeTraceRequiresStepMode: the ablation has no trace to hold fixed,
-// so trace-mode minimisation must refuse it rather than accept everything.
-func TestMinimizeTraceRequiresStepMode(t *testing.T) {
-	cfg := New(4, WithSeed(111), WithFreeRunning()).Config()
-	if _, err := MinimizeTrace(context.Background(), cfg, Consensus{}); err == nil {
-		t.Fatal("MinimizeTrace accepted a free-running configuration")
+// TestMinimizeTraceRequiresTrace: a run tainted by its wall-clock backstop
+// has no trace to hold fixed, so trace-mode minimisation must refuse it
+// rather than accept everything.
+func TestMinimizeTraceRequiresTrace(t *testing.T) {
+	cfg := New(3, WithSeed(111), WithDropRate(1), WithSafetyOnly(), WithTimeout(200*time.Millisecond)).Config()
+	if _, err := MinimizeTrace(context.Background(), cfg, Consensus{}); err == nil || !strings.Contains(err.Error(), "no trace fingerprint") {
+		t.Fatalf("MinimizeTrace accepted a tainted reference run: %v", err)
 	}
 }
