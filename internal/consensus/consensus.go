@@ -165,9 +165,8 @@ func NewBallotConsensus(ep *net.Endpoint, instance string, omega fd.Omega, guard
 // init wires a (possibly slab-allocated) participant in place and registers
 // its delivery handler. Group constructors pass shared options and a shared
 // stop signal; the per-participant state is just the struct and the handler
-// registration — the acceptor role runs reactively
-// on the network's dispatch goroutine, so a participant spawns no goroutine
-// at all.
+// registration — the acceptor role runs reactively on the network's dispatch
+// goroutine, so a participant spawns no goroutine at all.
 func (c *BallotConsensus) init(ep *net.Endpoint, inst net.Instance, omega fd.Omega, guard quorum.Guard, o *options, stop *stopper) {
 	c.ep = ep
 	c.inst = inst

@@ -122,17 +122,18 @@ func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
 
 	// Line 1: wait until Ψ leaves ⊥. Each iteration is a "nop" step of the
 	// paper's Figure 2, and like every step it advances the global logical
-	// clock (the runtime otherwise only ticks on message activity).
+	// clock (the runtime otherwise only ticks on message activity). A crashed
+	// process takes no steps, so the crash check comes before Ψ is read: a
+	// process crashed before it proposes must not return Quit.
 	for {
-		val := q.psi.Sample()
-		if val.Phase != model.PsiBottom {
-			break
-		}
 		if err := ctx.Err(); err != nil {
 			return Decision{}, fmt.Errorf("qc propose: %w", err)
 		}
 		if err := q.ep.Context().Err(); err != nil {
 			return Decision{}, fmt.Errorf("qc propose: %w", err)
+		}
+		if q.psi.Sample().Phase != model.PsiBottom {
+			break
 		}
 		if ticker.TryFire() {
 			q.ep.Clock().Tick()
