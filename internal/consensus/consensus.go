@@ -205,13 +205,14 @@ func (c *BallotConsensus) Decision() (Value, bool) {
 // the process crashes. All waiting rides the network's virtual clock, so a
 // blocked Propose costs no wall-clock time.
 func (c *BallotConsensus) Propose(ctx context.Context, v Value) (Value, error) {
-	c.metrics.Inc("propose")
-	// A caller that brought no task (a benchmark, a package test) is adopted
-	// for the span of this Propose, so it takes steps under the same
+	// A caller that brought no task (a benchmark, a package test) runs this
+	// Propose on a task of its own, so it takes steps under the same
 	// deterministic discipline as scenario runners.
-	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.propose")
-	defer release()
 	task := net.TaskFrom(ctx)
+	if task == nil {
+		return net.Call(ctx, c.ep, "consensus.propose", func(ctx context.Context) (Value, error) { return c.Propose(ctx, v) })
+	}
+	c.metrics.Inc("propose")
 	c.waiter.Set(task)
 	defer c.waiter.Clear()
 	// One poll ticker serves the whole call: the non-leader wait below and

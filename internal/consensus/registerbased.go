@@ -109,11 +109,13 @@ func (c *RegisterConsensus) Metrics() *trace.Metrics { return c.metrics }
 
 // Propose runs the protocol with proposal v and returns the decided value.
 func (c *RegisterConsensus) Propose(ctx context.Context, v Value) (Value, error) {
+	// A caller that brought no task runs on a task of its own. Every wait
+	// below — register Read/Write round-trips and the poll Sleep — parks
+	// that task via ctx.
+	if net.TaskFrom(ctx) == nil {
+		return net.Call(ctx, c.ep, "consensus.register", func(ctx context.Context) (Value, error) { return c.Propose(ctx, v) })
+	}
 	c.metrics.Inc("propose")
-	// Adopt a caller that brought no task. Every wait below — register
-	// Read/Write round-trips and the poll Sleep — parks that task via ctx.
-	ctx, release := net.AdoptTask(ctx, c.ep, "consensus.register")
-	defer release()
 	for {
 		// Has someone already decided?
 		d, err := c.dec.Read(ctx)

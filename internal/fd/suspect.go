@@ -62,7 +62,8 @@ type OracleSuspects struct {
 	StabilizeAfter model.Time
 }
 
-// At implements SuspectSource.
+// At implements SuspectSource. A sample computes the visibly-alive set once
+// and builds its output in one pass over the process ids.
 func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 	now := o.Clock.Now()
 	n := o.Pattern.N()
@@ -70,24 +71,39 @@ func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 		// Chaotic prefix: suspect everyone but yourself. Legal for both ◇
 		// classes (their accuracy clauses are eventual) and maximally
 		// disruptive to quorum formation, which is what the prefix is for.
-		out := model.AllProcesses(n)
-		out.Remove(p)
+		out := model.NewProcessSetCap(n)
+		for i := model.ProcessID(0); int(i) < n; i++ {
+			if i != p {
+				out.Add(i)
+			}
+		}
 		return out
 	}
-	crashed := model.AllProcesses(n).Minus(visibleAlive(o.Pattern, now, o.SuspicionDelay))
-	if o.Shape == ShapeEventuallyStrong {
-		// Defame everyone except the querier and the lowest-id visibly-alive
-		// process: completeness holds (all crashed are suspected), and
-		// eventually exactly one correct process — the eventual leader — is
-		// suspected by nobody, the weak-accuracy clause of ◇S.
-		out := model.AllProcesses(n)
-		out.Remove(p)
-		if leader, ok := visibleAlive(o.Pattern, now, o.SuspicionDelay).Min(); ok {
-			out.Remove(leader)
-		}
-		return out.Union(crashed)
+	alive := visibleAlive(o.Pattern, now, o.SuspicionDelay)
+	// Every visibly crashed process is suspected. ◇S also defames everyone
+	// except the querier and the lowest-id visibly-alive process:
+	// completeness holds (all crashed are suspected), and eventually exactly
+	// one correct process — the eventual leader — is suspected by nobody, the
+	// weak-accuracy clause of ◇S.
+	strong := o.Shape == ShapeEventuallyStrong
+	hasLeader := false
+	size := n - alive.Len()
+	if strong {
+		size = n
 	}
-	return crashed
+	out := model.NewProcessSetCap(size)
+	for i := model.ProcessID(0); int(i) < n; i++ {
+		if !alive.Contains(i) {
+			out.Add(i)
+		} else if strong {
+			if !hasLeader {
+				hasLeader = true // the lowest visibly-alive id: the spared leader
+			} else if i != p {
+				out.Add(i)
+			}
+		}
+	}
+	return out
 }
 
 // SuspectOmega derives Ω from a suspect source: the leader is the lowest-id
@@ -101,9 +117,11 @@ type SuspectOmega struct {
 
 // At implements OmegaSource.
 func (s SuspectOmega) At(p model.ProcessID) model.ProcessID {
-	trusted := model.AllProcesses(s.N).Minus(s.Suspects.At(p))
-	if leader, ok := trusted.Min(); ok {
-		return leader
+	suspected := s.Suspects.At(p)
+	for i := model.ProcessID(0); int(i) < s.N; i++ {
+		if !suspected.Contains(i) {
+			return i
+		}
 	}
 	// Everyone suspected (possible only in a chaotic prefix that does not
 	// even spare the querier, or when all processes crashed): the output is
@@ -132,7 +150,13 @@ type SuspectSigma struct {
 
 // At implements SigmaSource.
 func (s SuspectSigma) At(p model.ProcessID) model.ProcessSet {
-	trusted := model.AllProcesses(s.N).Minus(s.Suspects.At(p))
+	suspected := s.Suspects.At(p)
+	trusted := model.NewProcessSetCap(max(s.N-suspected.Len(), 0))
+	for i := model.ProcessID(0); int(i) < s.N; i++ {
+		if !suspected.Contains(i) {
+			trusted.Add(i)
+		}
+	}
 	if s.Accurate || 2*trusted.Len() > s.N {
 		return trusted
 	}

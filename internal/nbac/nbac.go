@@ -126,13 +126,14 @@ type voteMsg struct {
 
 // Vote runs Figure 4 with vote v and returns Commit or Abort.
 func (a *QCNBAC) Vote(ctx context.Context, v Vote) (Outcome, error) {
-	a.metrics.Inc("vote")
-	// Adopt the caller so the vote wait and the embedded QC step run as
-	// scheduler tasks (a no-op when the ctx already carries a task, e.g. when
-	// the FS emulation drives successive instances from one task).
-	ctx, release := net.AdoptTask(ctx, a.ep, "nbac.vote")
-	defer release()
+	// The vote wait and the embedded QC step run on the caller's task (e.g.
+	// when the FS emulation drives successive instances from one task); a
+	// caller that brought none runs on a task of its own.
 	task := net.TaskFrom(ctx)
+	if task == nil {
+		return net.Call(ctx, a.ep, "nbac.vote", func(ctx context.Context) (Outcome, error) { return a.Vote(ctx, v) })
+	}
+	a.metrics.Inc("vote")
 
 	// Line 1: send the vote to all.
 	a.ep.Broadcast(a.instance, "vote", voteMsg{Vote: v})
@@ -263,14 +264,16 @@ type proposalMsg struct {
 
 // Propose runs Figure 5 with proposal v (which must be an int).
 func (q *NBACQC) Propose(ctx context.Context, v qc.Value) (qc.Decision, error) {
+	// A caller that brought no task runs on a task of its own; the embedded
+	// NBAC vote reuses it.
+	if net.TaskFrom(ctx) == nil {
+		return net.Call(ctx, q.ep, "nbacqc.propose", func(ctx context.Context) (qc.Decision, error) { return q.Propose(ctx, v) })
+	}
 	q.metrics.Inc("propose")
 	value, ok := v.(int)
 	if !ok {
 		return qc.Decision{}, fmt.Errorf("nbac-based qc: proposal must be int, got %T", v)
 	}
-	// Adopt a caller that brought no task; the embedded NBAC vote reuses it.
-	ctx, release := net.AdoptTask(ctx, q.ep, "nbacqc.propose")
-	defer release()
 
 	// Line 1: send the proposal to all.
 	q.ep.Broadcast(q.instance, "proposal", proposalMsg{Value: value})

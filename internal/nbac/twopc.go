@@ -49,13 +49,15 @@ type twopcDecision struct {
 // if any process crashes at an inconvenient time — that is the point of the
 // baseline.
 func (t *TwoPC) Vote(ctx context.Context, v Vote) (Outcome, error) {
-	t.metrics.Inc("vote")
-	// Adopt a caller that brought no task. Blocking forever on a crashed peer
-	// is the point of the baseline; a parked task that is never woken again
-	// simply stays quiescent until the run's deadline escapes it.
-	ctx, release := net.AdoptTask(ctx, t.ep, "twopc.vote")
-	defer release()
+	// A caller that brought no task runs on a task of its own. Blocking
+	// forever on a crashed peer is the point of the baseline; a parked task
+	// that is never woken again simply stays quiescent until the run's
+	// deadline escapes it.
 	task := net.TaskFrom(ctx)
+	if task == nil {
+		return net.Call(ctx, t.ep, "twopc.vote", func(ctx context.Context) (Outcome, error) { return t.Vote(ctx, v) })
+	}
+	t.metrics.Inc("vote")
 	in := t.ep.Instance(t.instance)
 	in.Watch(task)
 	defer in.Watch(nil)

@@ -329,12 +329,14 @@ type stepResult uint8
 
 const (
 	stepClosed stepResult = iota // queue closed; dispatcher exits
+	stepEscape                   // a context tasks park on was cancelled; resume them
 	stepGrant                    // ready tasks pending; run them to quiescence
 	stepEvent                    // one event popped; deliver it
 )
 
 // popStep blocks until there is work and hands the dispatcher exactly one
-// unit of it — a pending task grant (which always takes priority, so a
+// unit of it — a wall-clock escape (checked first, even while the network is
+// frozen), a pending task grant (which takes priority over events, so a
 // delivery's wake cascade settles before the next event) or a single popped
 // event with the virtual clock advanced to its timestamp. Because the network
 // is provably quiescent whenever the ready queue is empty, tasks need no
@@ -342,7 +344,7 @@ const (
 // to outrun.
 //
 // The one bounded yield is for plain goroutines that have not yet reached
-// AdoptTask (tests and benchmarks calling protocols directly): on
+// Call (tests and benchmarks calling protocols directly): on
 // GOMAXPROCS=1 the grant handoffs can starve such a caller for a whole
 // preemption timeslice while virtual time gallops through its poll ticks, so
 // the dispatcher yields a few times before jumping the clock. Such callers
@@ -355,6 +357,10 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 		if q.closed {
 			q.mu.Unlock()
 			return event{}, stepClosed
+		}
+		if s.escapes.Load() {
+			q.mu.Unlock()
+			return event{}, stepEscape
 		}
 		if q.held {
 			q.mu.Unlock()

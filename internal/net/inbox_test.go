@@ -5,7 +5,7 @@ package net
 // on every push — the Watch + TryRecv + Await idiom protocol loops use.
 // Messages buffered before the task's first step are drained by that step,
 // so none is lost. The channel holds more messages than any test here sends,
-// so the draining task never blocks while it holds the scheduling token. The
+// so the draining task never blocks the dispatcher's thread it runs on. The
 // task exits when the process crashes or the network closes.
 func watchInbox(ep *Endpoint, instance string) <-chan Message {
 	ch := make(chan Message, 1<<14)

@@ -20,12 +20,15 @@
 // failure detectors stay meaningful when time is virtual.
 //
 // Everything that takes steps between deliveries is a Task (Network.Go,
-// Network.GoGroup, AdoptTask), and exactly one of the dispatcher or a single
-// granted task runs at any moment: the dispatcher delivers one event, then
-// runs every task it woke to its next park before popping the next. Tasks
-// wait in one way only — recheck a condition, then Task.Await — and are woken
-// by message pushes (Instance.Watch), timer fires (Timer.Bind), crashes and
-// explicit Wake calls. A run is therefore a pure function of its seed and
+// Network.GoGroup, or Call for a plain goroutine's operation), run as a
+// coroutine that only the dispatcher resumes, so exactly one of the
+// dispatcher or a single task runs at any moment, on the dispatcher's thread:
+// the dispatcher delivers one event, then resumes every task it woke until
+// that task's next park before popping the next. Tasks wait in one way only —
+// recheck a condition, then Task.Await — and are woken by message pushes
+// (Instance.Watch), timer fires (Timer.Bind), crashes and explicit Wake
+// calls. A cancelled context a task waits on, and Network.Close, resume tasks
+// out of turn and taint the trace. A run is therefore a pure function of its seed and
 // configuration, down to the trace fingerprint of its full schedule. See
 // ARCHITECTURE.md for the scheduler's design and its determinism guarantees.
 //
@@ -281,8 +284,9 @@ func (nw *Network) Alive() model.ProcessSet {
 }
 
 // Close shuts the network down: all endpoints' contexts are cancelled, all
-// timers are stopped, the dispatcher drains, and all mailboxes stop. A closed
-// network drops every subsequent send.
+// timers are stopped, the dispatcher runs every unfinished task to its exit
+// and returns, and all mailboxes stop. A closed network drops every
+// subsequent send.
 func (nw *Network) Close() {
 	if nw.closed.Swap(true) {
 		return
@@ -292,10 +296,6 @@ func (nw *Network) Close() {
 		ep.ctx.cancel()
 		ep.stopTimers()
 	}
-	// Release every task blocked on a grant (parked, or waiting its first
-	// step) so their goroutines can observe cancellation and exit; the
-	// dispatcher never waits on an aborted task.
-	nw.stepper.abortAll()
 	if dropped := nw.q.close(); dropped > 0 {
 		nw.cDropped.Add(int64(dropped))
 	}
@@ -369,13 +369,15 @@ func (nw *Network) broadcast(st *instState, from model.ProcessID, typ string, au
 }
 
 // dispatch is the single delivery goroutine. It runs the run-to-quiescence
-// loop: deliver ONE event, then grant every task that delivery woke —
+// loop: deliver ONE event, then resume every task that delivery woke —
 // serially, in deterministic FIFO wake order — until the network is quiescent
 // again, then pop the next event. popStep prioritises ready tasks over due
 // events, so an event delivery's entire wake cascade (including wakes issued
 // by granted tasks themselves) settles before the next event is popped. No
 // goroutine is ever spawned per message, and no lock or lookup beyond the
-// destination mailbox's own mutex is taken per delivery.
+// destination mailbox's own mutex is taken per delivery. When the queue
+// closes, the dispatcher runs every unfinished task to its exit before it
+// returns.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
 	s := nw.stepper
@@ -383,7 +385,10 @@ func (nw *Network) dispatch() {
 		ev, mode := nw.q.popStep(s)
 		switch mode {
 		case stepClosed:
+			nw.finishTasks()
 			return
+		case stepEscape:
+			nw.runEscapes()
 		case stepGrant:
 			s.runReady()
 		case stepEvent:

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"iter"
 	"sync"
 	"sync/atomic"
 )
@@ -15,31 +16,30 @@ import (
 // goroutine-step scheduler that extends the byte-reproducibility contract
 // from schedule-determined outcomes to full traces.
 //
-// Every scheduler-visible goroutine in the network is a Task, and exactly one
-// of the dispatcher or a single granted task runs at any moment. The
-// dispatcher pops ONE event, delivers it, then grants every task the delivery
-// woke — in deterministic FIFO wake order, one at a time, waiting for each to
-// park or exit — before popping the next event. Quiescence is a positive
-// handshake: a task is either parked in Await (having returned the scheduling
-// token) or running with the token; the ready queue being empty IS the proof
-// that every goroutine is parked on a runtime primitive.
+// Every scheduler-visible goroutine in the network is a Task, run as an
+// iter.Pull coroutine that only the dispatcher resumes, so exactly one of the
+// dispatcher or a single task runs at any moment — on the dispatcher's own
+// thread, with no channel handoff. The dispatcher pops ONE event, delivers it,
+// then resumes every task the delivery woke — in deterministic FIFO wake
+// order, one at a time, each until it parks in Await (a coroutine yield) or
+// exits (the coroutine returns) — before popping the next event. The ready
+// queue being empty IS the proof that every task is parked.
 //
 // Because task execution is serialized, every event-queue push (sequence
 // number, RNG draw) and every logical-clock tick happens in an order that is
 // a pure function of the seed and the initial schedule — which is what makes
 // the trace fingerprint below byte-reproducible, crash events included.
 
-// taskState is the lifecycle of a Task with respect to the scheduling token.
+// taskState is the lifecycle of a Task with respect to the dispatcher.
 type taskState uint8
 
 const (
 	// taskReady: woken (or newly spawned) and queued for a grant.
 	taskReady taskState = iota + 1
-	// taskGranted: running — the stepper committed the token to it. An
-	// escaped task also carries this state (it runs without the token, on a
-	// teardown path where determinism is already forfeit).
+	// taskGranted: running — resumed by the dispatcher, or escaped (see
+	// Await) and running to its exit outside the step discipline.
 	taskGranted
-	// taskParked: blocked in Await, token returned to the dispatcher.
+	// taskParked: yielded in Await.
 	taskParked
 	// taskDone: exited.
 	taskDone
@@ -47,22 +47,28 @@ const (
 
 // Task is one scheduler-visible goroutine: a protocol runner, a detector
 // loop, a register server — anything that takes steps between event
-// deliveries. Tasks are created with Network.Go / Network.GoGroup (spawned
-// goroutines) or AdoptTask (the calling goroutine submits to the step
-// discipline for the duration of one operation).
+// deliveries. Tasks are created with Network.Go / Network.GoGroup, or by Call
+// for a plain goroutine that runs one operation under the step discipline.
 type Task struct {
 	id    uint64
 	name  string
 	ep    *Endpoint
 	s     *stepper
 	group bool
-	grant chan struct{} // stepper -> task, capacity 1
+
+	// next resumes the coroutine until its next park or its exit; yield,
+	// called from inside the coroutine, parks it. next is called by the
+	// dispatcher only — or, once the dispatcher has finished, by the one
+	// goroutine that spawned the task on the closed network.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	mu      sync.Mutex
 	state   taskState
 	escaped bool
-	wakes   uint64 // wake credits issued
-	seen    uint64 // wake credits consumed by Await
+	wakes   uint64     // wake credits issued
+	seen    uint64     // wake credits consumed by Await
+	watch   *doneWatch // Done registration of the context of the latest park
 }
 
 // Wake credits the task with one wakeup. If it is parked it joins the ready
@@ -83,101 +89,112 @@ func (t *Task) Wake() {
 	t.s.enqueue(t)
 }
 
-// Await is the park point: it returns the scheduling token to the dispatcher
-// and blocks until the next Wake is granted. If a wake credit is already
-// pending (issued while the task was running) it returns immediately without
-// yielding. Callers use the condition-recheck idiom:
+// Await is the park point: it yields back to the dispatcher and returns when
+// the dispatcher resumes the task after the next Wake. If a wake credit is
+// already pending (issued while the task was running) it returns immediately
+// without yielding. Callers use the condition-recheck idiom:
 //
 //	for {
 //		if done() { return }
 //		t.Await(ctx)
 //	}
 //
-// ctx is the escape hatch for wall-clock teardown (the scenario timeout): if
-// it fires while the task is parked, the task resumes WITHOUT the token,
-// marks the trace tainted, and every subsequent Await returns immediately so
+// ctx is the escape hatch for wall-clock teardown (the scenario timeout):
+// when it is cancelled, the dispatcher resumes the task out of turn, the
+// trace is marked tainted, and every subsequent Await returns immediately so
 // the caller's next condition check can observe ctx.Err() and unwind. A nil
-// ctx is allowed; the network-close abort remains as the final escape.
+// ctx is allowed; Network.Close is then the only escape.
 func (t *Task) Await(ctx context.Context) {
 	t.mu.Lock()
-	if t.escaped {
+	if t.escaped || t.seen < t.wakes {
+		t.seen = t.wakes
 		t.mu.Unlock()
 		return
 	}
-	if t.seen < t.wakes {
-		t.seen = t.wakes
+	w := t.watchFor(ctx)
+	t.watch = w
+	if w != nil && w.fired.Load() {
+		t.escaped = true
 		t.mu.Unlock()
+		t.s.taint(t)
 		return
 	}
 	t.state = taskParked
 	t.mu.Unlock()
-	t.s.yieldCh <- struct{}{}
-	t.block(ctx)
-}
-
-// block waits for the grant that follows a wake (or for an escape). It is
-// also the initial wait of a freshly spawned or adopted task, which is why it
-// is separate from Await: a new task has no token to yield yet.
-func (t *Task) block(ctx context.Context) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-t.grant:
-		t.mu.Lock()
-		t.seen = t.wakes
-		t.mu.Unlock()
-	case <-done:
-		t.escape()
-	case <-t.s.abort:
-		t.escape()
-	}
-}
-
-// escape resumes the task without a grant. It taints the trace (the cut
-// point of a wall-clock interruption is not reproducible) and, if the
-// stepper had already committed a grant, consumes the token and hands it
-// straight back so the dispatcher never waits on an escaped task.
-func (t *Task) escape() {
-	t.s.taint(t)
+	t.yield(struct{}{})
 	t.mu.Lock()
-	switch t.state {
-	case taskParked, taskReady:
-		t.escaped = true
-		t.state = taskGranted
-		t.mu.Unlock()
-	case taskGranted:
-		t.escaped = true
-		t.mu.Unlock()
-		<-t.grant
-		t.s.yieldCh <- struct{}{}
-	default:
-		t.mu.Unlock()
-	}
+	t.seen = t.wakes
+	t.mu.Unlock()
 }
 
-// exit ends the task. A cleanly exiting task still holds the token: its exit
-// is recorded into the trace and the token is returned; an escaped exit only
-// updates the group countdown (it must not touch the digest, which the
-// dispatcher may be writing concurrently).
-func (t *Task) exit() {
+// watchFor returns the Done registration for ctx, or nil when ctx can never
+// be cancelled. The task caches its latest registration, so the loop of a
+// task that waits on one context resolves it once. Caller holds t.mu.
+func (t *Task) watchFor(ctx context.Context) *doneWatch {
+	if ctx == nil {
+		return nil
+	}
+	d := ctx.Done()
+	if d == nil {
+		return nil
+	}
+	if w := t.watch; w != nil && w.done == d {
+		return w
+	}
+	return t.s.watchDone(ctx, d, t.group)
+}
+
+// escapeIfFired resumes t out of turn if it is parked on a context whose
+// registration fired (see Await). Called by the dispatcher only.
+func (t *Task) escapeIfFired() {
 	t.mu.Lock()
-	if t.state == taskDone {
-		t.mu.Unlock()
+	if t.state == taskParked && t.watch != nil && t.watch.fired.Load() {
+		t.resumeEscaped()
 		return
 	}
+	t.mu.Unlock()
+}
+
+// finish runs t to its exit, escaped, if it has not exited yet — Close's
+// teardown, which includes tasks that never had a first grant.
+func (t *Task) finish() {
+	t.mu.Lock()
+	if t.state == taskParked || t.state == taskReady {
+		t.resumeEscaped()
+		return
+	}
+	t.mu.Unlock()
+}
+
+// resumeEscaped marks t escaped, taints the trace and resumes t, which runs
+// until it exits: an escaped task's Await never parks. Caller holds t.mu;
+// resumeEscaped releases it.
+func (t *Task) resumeEscaped() {
+	t.escaped = true
+	t.state = taskGranted
+	t.mu.Unlock()
+	t.s.taint(t)
+	t.next()
+}
+
+// exit ends the task; the coroutine returns right after it. A cleanly
+// exiting task records its exit into the trace; an escaped exit only updates
+// the group countdown, whose finalization then reports the taint.
+func (t *Task) exit() {
+	t.mu.Lock()
 	escaped := t.escaped
 	t.state = taskDone
 	t.mu.Unlock()
+	s := t.s
+	s.mu.Lock()
+	s.live--
+	s.mu.Unlock()
 	if escaped {
-		t.s.taint(t)
-		t.s.groupExit(t, false)
+		s.groupExit(t, false)
 		return
 	}
-	t.s.recordExit(t)
-	t.s.groupExit(t, true)
-	t.s.yieldCh <- struct{}{}
+	s.recordExit(t)
+	s.groupExit(t, true)
 }
 
 // taskCtxKey carries a Task through a context so protocol entry points
@@ -186,8 +203,8 @@ func (t *Task) exit() {
 type taskCtxKey struct{}
 
 // WithTask returns a context carrying t. scenario.Run uses it to hand each
-// runner goroutine its task; AdoptTask uses it so nested protocol calls share
-// the adopter's task instead of adopting again.
+// runner its task; Call uses it so nested protocol calls run on the caller's
+// task instead of spawning another.
 func WithTask(ctx context.Context, t *Task) context.Context {
 	return context.WithValue(ctx, taskCtxKey{}, t)
 }
@@ -202,25 +219,27 @@ func TaskFrom(ctx context.Context) *Task {
 	return t
 }
 
-// AdoptTask submits the calling goroutine to the step discipline for the
-// duration of one operation: it blocks until the dispatcher grants it a
-// first step, returns a context carrying the new task plus a release
-// function that must be called (deferred) when the operation returns. When
-// ctx already carries a task it is a no-op.
-//
-// This is what keeps raw-network callers (benchmarks, package tests calling
-// Propose from plain goroutines) inside the deterministic protocol: without
-// adoption their sends would race the dispatcher's steps.
-func AdoptTask(ctx context.Context, ep *Endpoint, name string) (context.Context, func()) {
-	nw := ep.net
+// Call runs op on a task of ep's process and returns its result. A caller
+// whose ctx already carries a task runs op inline, on that task. A plain
+// goroutine — a benchmark or package test calling a protocol directly — gets
+// a new task for op and blocks until op returns, so every step of the
+// operation takes place under the step discipline: without it the caller's
+// sends would race the dispatcher's steps.
+func Call[T any](ctx context.Context, ep *Endpoint, name string, op func(context.Context) (T, error)) (T, error) {
 	if TaskFrom(ctx) != nil {
-		return ctx, func() {}
+		return op(ctx)
 	}
-	t := nw.stepper.newTask(ep, name, false)
-	ep.registerTask(t)
-	nw.stepper.enqueue(t)
-	t.block(ctx)
-	return WithTask(ctx, t), t.exit
+	var (
+		res T
+		err error
+	)
+	done := make(chan struct{})
+	ep.net.spawn(ep, name, false, func(t *Task) {
+		defer close(done)
+		res, err = op(WithTask(ctx, t))
+	})
+	<-done
+	return res, err
 }
 
 // TaskWaiter is a single-waiter wake registration: the waiting side
@@ -355,17 +374,18 @@ func (r *TraceRecord) AppendHash(b []byte) []byte {
 
 // TraceRecorder observes the step trace record-by-record, beside the digest:
 // every record the trace hash sees is passed to Record, in hash order,
-// before delivery/grant takes effect. Calls are serialized by the scheduling
-// token (the dispatcher writes event and grant records, a cleanly exiting
-// task writes its exit record while still holding the token), so
-// implementations need no locking — but Record runs on the scheduler's
-// critical path and must not block.
+// before delivery/grant takes effect. Every call is made on the dispatcher's
+// thread (the dispatcher writes event and grant records, a cleanly exiting
+// task it resumed writes its exit record), so implementations need no
+// locking — but Record runs on the scheduler's critical path and must not
+// block.
 type TraceRecorder interface {
 	Record(TraceRecord)
 }
 
-// stepper is the run-to-quiescence scheduler state owned by a Network: the deterministic ready queue, the grant/yield token protocol and
-// the streaming trace digest.
+// stepper is the run-to-quiescence scheduler state owned by a Network: the
+// deterministic ready queue, the wall-clock escape registrations and the
+// streaming trace digest.
 type stepper struct {
 	q *eventQueue
 
@@ -373,27 +393,30 @@ type stepper struct {
 	ready     []*Task
 	readyHead int
 	nextID    uint64
+	live      int  // spawned tasks that have not exited
+	finished  bool // the dispatcher ran every task to its exit and returned
 
-	yieldCh chan struct{} // granted task -> dispatcher: parked or exited
-	abort   chan struct{} // closed on Network.Close; releases every blocked task
-	abortMu sync.Mutex
-	aborted bool
+	// Wall-clock escapes: one context.AfterFunc per distinct Done channel a
+	// task has parked on. A firing registration sets escapes and pokes the
+	// dispatcher, which resumes the tasks parked on it (see popStep).
+	escapes atomic.Bool
+	watchMu sync.Mutex
+	watches map[<-chan struct{}]*doneWatch
 
-	// Trace digest. Writers are the dispatcher (event and grant records) and
-	// cleanly exiting tasks (exit records, written while still holding the
-	// token), so all writes are serialized by the token handoff; no lock.
-	// rec, when non-nil, observes the same serialized record stream.
+	// Trace digest. Every record is written on the dispatcher's thread —
+	// events and grants by the dispatcher itself, exits by a task it resumed —
+	// so the writes are serialized; no lock. rec, when non-nil, observes the
+	// same record stream.
 	tracing   atomic.Bool
 	finalized atomic.Bool
 	tainted   atomic.Bool
 	digest    hash.Hash
-	buf       [64]byte
+	buf       []byte // scratch for one record's encoding, reused
 	stats     TraceStats
 	rec       TraceRecorder
 
 	// taintReason is the first escape's description (first-wins: later
-	// escapes are downstream of the first cut). Guarded by taintMu because
-	// escapes happen off the token discipline by definition.
+	// escapes are downstream of the first cut).
 	taintMu     sync.Mutex
 	taintReason string
 
@@ -404,14 +427,71 @@ type stepper struct {
 	finalStats TraceStats
 }
 
+// doneWatch is the escape registration for one Done channel.
+type doneWatch struct {
+	done  <-chan struct{}
+	fired atomic.Bool // the AfterFunc ran: the context is cancelled
+	group bool        // a trace-group task parked on it; guarded by watchMu
+	stop  func() bool // unregisters the AfterFunc
+}
+
 func newStepper(q *eventQueue, rec TraceRecorder) *stepper {
 	return &stepper{
 		q:         q,
-		yieldCh:   make(chan struct{}, 1),
-		abort:     make(chan struct{}),
 		digest:    sha256.New(),
 		groupDone: make(chan struct{}),
 		rec:       rec,
+	}
+}
+
+// watchDone returns the registration for ctx's Done channel d, creating it
+// on first use. The tasks of one operation share a Done channel (WithTask
+// only adds a value), so a run registers once per context, not per task.
+func (s *stepper) watchDone(ctx context.Context, d <-chan struct{}, group bool) *doneWatch {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	w := s.watches[d]
+	if w == nil {
+		if s.watches == nil {
+			s.watches = make(map[<-chan struct{}]*doneWatch)
+		}
+		w = &doneWatch{done: d}
+		w.stop = context.AfterFunc(ctx, func() {
+			w.fired.Store(true)
+			s.escapes.Store(true)
+			s.q.poke(s.q.notify)
+		})
+		s.watches[d] = w
+	}
+	w.group = w.group || group
+	return w
+}
+
+// groupContextDone reports whether a context a trace-group task parked on
+// has been cancelled.
+func (s *stepper) groupContextDone() bool {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	for _, w := range s.watches {
+		if !w.group {
+			continue
+		}
+		select {
+		case <-w.done:
+			return true
+		default:
+		}
+	}
+	return false
+}
+
+// stopWatches unregisters every escape registration; Close calls it once no
+// task is left to escape.
+func (s *stepper) stopWatches() {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	for _, w := range s.watches {
+		w.stop()
 	}
 }
 
@@ -419,28 +499,16 @@ func newStepper(q *eventQueue, rec TraceRecorder) *stepper {
 // escaping task and its process — the diagnostic a tainted journal surfaces
 // instead of a confusing divergence.
 func (s *stepper) taint(t *Task) {
+	s.taintWith(fmt.Sprintf("wall-clock escape: task %q (process %d) resumed outside the step discipline (context cancelled or network closed)", t.name, int(t.ep.id)))
+}
+
+func (s *stepper) taintWith(reason string) {
 	s.tainted.Store(true)
 	s.taintMu.Lock()
 	if s.taintReason == "" {
-		s.taintReason = fmt.Sprintf("wall-clock escape: task %q (process %d) resumed outside the step discipline (context cancelled or network closed)", t.name, int(t.ep.id))
+		s.taintReason = reason
 	}
 	s.taintMu.Unlock()
-}
-
-func (s *stepper) newTask(ep *Endpoint, name string, group bool) *Task {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-	return &Task{
-		id:    id,
-		name:  name,
-		ep:    ep,
-		s:     s,
-		group: group,
-		grant: make(chan struct{}, 1),
-		state: taskReady,
-	}
 }
 
 // enqueue appends t to the ready queue and pokes the dispatcher, which may be
@@ -477,11 +545,11 @@ func (s *stepper) popReady() *Task {
 	return t
 }
 
-// runReady grants every ready task, one at a time, in FIFO order, waiting for
-// each to park or exit before the next — the quiescence handshake. It returns
-// only when the ready queue is empty, i.e. every scheduler-visible goroutine
-// is parked on a runtime primitive and it is sound to pop the next event.
-// Called only by the dispatcher.
+// runReady grants every ready task, one at a time, in FIFO order: each grant
+// resumes the task's coroutine, which returns here when the task parks or
+// exits. It returns only when the ready queue is empty, i.e. every task is
+// parked and it is sound to pop the next event. Called only by the
+// dispatcher.
 func (s *stepper) runReady() {
 	for {
 		t := s.popReady()
@@ -490,27 +558,15 @@ func (s *stepper) runReady() {
 		}
 		t.mu.Lock()
 		if t.state != taskReady {
-			// Escaped (or exited) between wake and grant: skip without
-			// committing the token.
+			// Escaped (or exited) between wake and grant.
 			t.mu.Unlock()
 			continue
 		}
 		t.state = taskGranted
 		t.mu.Unlock()
 		s.recordGrant(t)
-		t.grant <- struct{}{}
-		<-s.yieldCh
+		t.next()
 	}
-}
-
-// abortAll releases every task blocked in block(); called by Network.Close.
-func (s *stepper) abortAll() {
-	s.abortMu.Lock()
-	if !s.aborted {
-		s.aborted = true
-		close(s.abort)
-	}
-	s.abortMu.Unlock()
 }
 
 // beginTraceGroup arms trace recording and declares that n group tasks
@@ -527,10 +583,12 @@ func (s *stepper) beginTraceGroup(n int) {
 }
 
 // groupExit retires one group task. When the last one exits the trace is
-// finalized: if every exit was clean and no escape tainted the run, the
-// digest is snapshotted (the exiting task still holds the token, so the read
-// cannot race the dispatcher's writes); otherwise the fingerprint stays
-// empty. groupDone is closed either way, releasing TraceResult.
+// finalized: if every exit was clean, no escape tainted the run and no
+// context a group task parked on was cancelled, the digest is snapshotted;
+// otherwise the fingerprint stays empty. A cancelled context taints even a
+// clean exit: a task that saw ctx.Err() on a granted step unwound at a point
+// the wall clock chose. groupDone is closed either way, releasing
+// TraceResult.
 func (s *stepper) groupExit(t *Task, clean bool) {
 	if !t.group {
 		return
@@ -541,6 +599,9 @@ func (s *stepper) groupExit(t *Task, clean bool) {
 	s.groupMu.Unlock()
 	if !last {
 		return
+	}
+	if clean && !s.tainted.Load() && s.groupContextDone() {
+		s.taintWith(fmt.Sprintf("wall-clock escape: a context the trace group waits on was cancelled before task %q (process %d) exited", t.name, int(t.ep.id)))
 	}
 	if clean && !s.tainted.Load() {
 		s.groupMu.Lock()
@@ -567,7 +628,8 @@ func (s *stepper) groupExit(t *Task, clean bool) {
 // if any. The digest and the recorder consume the identical record by
 // construction — AppendHash is the single encoding definition.
 func (s *stepper) record(r *TraceRecord) {
-	s.digest.Write(r.AppendHash(s.buf[:0]))
+	s.buf = r.AppendHash(s.buf[:0])
+	s.digest.Write(s.buf)
 	if s.rec != nil {
 		s.rec.Record(*r)
 	}
@@ -610,8 +672,8 @@ func (s *stepper) recordGrant(t *Task) {
 	s.record(&TraceRecord{Op: TraceOpGrant, Task: t.id, Proc: uint64(t.ep.id)})
 }
 
-// recordExit hashes a clean task exit. Called by the exiting task while it
-// still holds the token.
+// recordExit hashes a clean task exit. Called by the exiting task, on the
+// dispatcher's thread.
 func (s *stepper) recordExit(t *Task) {
 	if !s.tracing.Load() || s.finalized.Load() {
 		return
@@ -619,8 +681,8 @@ func (s *stepper) recordExit(t *Task) {
 	s.record(&TraceRecord{Op: TraceOpExit, Task: t.id, Proc: uint64(t.ep.id), Group: t.group})
 }
 
-// Go spawns fn as a scheduler-visible task owned by ep: the goroutine takes
-// steps only when granted by the dispatcher, parking in Await between them.
+// Go spawns fn as a scheduler-visible task owned by ep: it takes steps only
+// when the dispatcher resumes it, parking in Await between them.
 func (nw *Network) Go(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, false, fn)
 }
@@ -631,16 +693,77 @@ func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, true, fn)
 }
 
+// spawn creates the task's coroutine and queues it for its first grant. On a
+// network whose dispatcher has already finished, nothing would ever grant it,
+// so the calling goroutine runs it to its exit at once, escaped.
 func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
-	t := nw.stepper.newTask(ep, name, group)
-	ep.registerTask(t)
-	nw.stepper.enqueue(t)
-	go func() {
-		t.block(nil)
+	s := nw.stepper
+	t := &Task{name: name, ep: ep, s: s, group: group, state: taskReady}
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		t.mu.Lock()
+		t.seen = t.wakes
+		t.mu.Unlock()
 		fn(t)
 		t.exit()
-	}()
+	})
+	s.mu.Lock()
+	s.nextID++
+	t.id = s.nextID
+	s.live++
+	if s.finished {
+		s.mu.Unlock()
+		t.finish()
+		return t
+	}
+	ep.registerTask(t)
+	s.ready = append(s.ready, t)
+	s.mu.Unlock()
+	s.q.poke(s.q.notify)
 	return t
+}
+
+// runEscapes resumes, as escaped, every task parked on a context whose
+// registration fired. Called only by the dispatcher.
+func (nw *Network) runEscapes() {
+	nw.stepper.escapes.Store(false)
+	for _, t := range nw.allTasks() {
+		t.escapeIfFired()
+	}
+}
+
+// finishTasks runs every unfinished task to its exit, exactly once, as
+// escaped — tasks that never had a first grant included — then marks the
+// stepper finished so later spawns run inline. Tasks spawned during the
+// teardown are picked up by the next pass. Called by the dispatcher when the
+// queue closes.
+func (nw *Network) finishTasks() {
+	s := nw.stepper
+	for {
+		for _, t := range nw.allTasks() {
+			t.finish()
+		}
+		s.mu.Lock()
+		if s.live == 0 {
+			s.finished = true
+			s.mu.Unlock()
+			s.stopWatches()
+			return
+		}
+		s.mu.Unlock()
+	}
+}
+
+// allTasks snapshots every registered task, in process order.
+func (nw *Network) allTasks() []*Task {
+	var all []*Task
+	for i := range nw.endpoints {
+		ep := &nw.endpoints[i]
+		ep.mu.Lock()
+		all = append(all, ep.tasks...)
+		ep.mu.Unlock()
+	}
+	return all
 }
 
 // TraceGroup arms trace recording and declares the number of GoGroup tasks
@@ -669,11 +792,25 @@ func (nw *Network) TraceResult() (string, TraceStats) {
 	return s.final, s.finalStats
 }
 
-// registerTask records t on its endpoint so a crash (or close) can wake it:
-// the woken task observes Context().Err() != nil on its next granted step and
-// unwinds deterministically — crashes at decision moments replay exactly.
+// registerTask records t on its endpoint so a crash can wake it — the woken
+// task observes Context().Err() != nil on its next granted step and unwinds
+// deterministically, so crashes at decision moments replay exactly — and so
+// escapes and Close can find it. Exited tasks are compacted away whenever the
+// list would grow.
 func (ep *Endpoint) registerTask(t *Task) {
 	ep.mu.Lock()
+	if len(ep.tasks) == cap(ep.tasks) {
+		live := ep.tasks[:0]
+		for _, old := range ep.tasks {
+			old.mu.Lock()
+			if old.state != taskDone {
+				live = append(live, old)
+			}
+			old.mu.Unlock()
+		}
+		clear(ep.tasks[len(live):])
+		ep.tasks = live
+	}
 	ep.tasks = append(ep.tasks, t)
 	ep.mu.Unlock()
 }

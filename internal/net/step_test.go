@@ -2,7 +2,10 @@ package net
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,4 +143,176 @@ func TestWakeCreditNotLost(t *testing.T) {
 	if fp, _ := nw.TraceResult(); fp == "" {
 		t.Fatal("clean self-waking run lost its trace")
 	}
+}
+
+// waitState polls until task reaches state, failing after a few seconds.
+func waitState(t *testing.T, task *Task, state taskState) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		task.mu.Lock()
+		st := task.state
+		task.mu.Unlock()
+		if st == state {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("task %q stuck in state %d, want %d", task.name, st, state)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseFinishesEveryTaskOnce: Close runs every unfinished task to its
+// exit exactly once — one parked with no wake pending, one woken and still
+// queued for its grant, and one spawned under Freeze that never had a first
+// grant — and every task goroutine is gone afterwards.
+func TestCloseFinishesEveryTaskOnce(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	nw := NewNetwork(2, WithSeed(3))
+	var runs, exits [3]atomic.Int32
+	body := func(i int) func(*Task) {
+		return func(task *Task) {
+			runs[i].Add(1)
+			defer exits[i].Add(1)
+			for task.ep.Context().Err() == nil {
+				task.Await(nil)
+			}
+		}
+	}
+	parked := nw.Go(nw.Endpoint(0), "parked", body(0))
+	ready := nw.Go(nw.Endpoint(1), "ready", body(1))
+	waitState(t, parked, taskParked)
+	waitState(t, ready, taskParked)
+	nw.Freeze()
+	ready.Wake()
+	fresh := nw.Go(nw.Endpoint(0), "fresh", body(2))
+	waitState(t, ready, taskReady)
+	waitState(t, fresh, taskReady)
+	nw.Close()
+	for i, name := range []string{"parked", "ready", "fresh"} {
+		if r, e := runs[i].Load(), exits[i].Load(); r != 1 || e != 1 {
+			t.Errorf("%s task: fn entered %d times, exited %d times; want 1 and 1", name, r, e)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after Close, %d before the network existed", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCallFromPlainGoroutine: a plain goroutine's Call runs the operation on
+// a task of its own — its waits park that task — and returns the result; a
+// nested Call on the same context runs inline, on the same task.
+func TestCallFromPlainGoroutine(t *testing.T) {
+	nw := NewNetwork(1, WithSeed(4))
+	defer nw.Close()
+	ep := nw.Endpoint(0)
+	v, err := Call(context.Background(), ep, "op", func(ctx context.Context) (int, error) {
+		task := TaskFrom(ctx)
+		if task == nil {
+			return 0, errors.New("op runs without a task")
+		}
+		if err := ep.Sleep(ctx, time.Hour); err != nil {
+			return 0, err
+		}
+		return Call(ctx, ep, "nested", func(ctx context.Context) (int, error) {
+			if TaskFrom(ctx) != task {
+				return 0, errors.New("nested Call spawned a second task")
+			}
+			return 42, nil
+		})
+	})
+	if err != nil || v != 42 {
+		t.Fatalf("Call = %d, %v; want 42, nil", v, err)
+	}
+	if now := nw.VirtualNow(); now < time.Hour {
+		t.Fatalf("virtual time %v after a one-hour sleep", now)
+	}
+}
+
+// TestCallEscapesOnCancel: cancelling the context of a Call whose task is
+// parked resumes it out of turn — the caller gets the context's error back —
+// and taints the trace, naming the task.
+func TestCallEscapesOnCancel(t *testing.T) {
+	nw := NewNetwork(1, WithSeed(5))
+	defer nw.Close()
+	ep := nw.Endpoint(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	parked := make(chan *Task, 1)
+	go func() {
+		// Cancel once the task has parked. A timeout cancels too, and the
+		// assertions below then fail on an unnamed or missing taint.
+		task := <-parked
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			task.mu.Lock()
+			st := task.state
+			task.mu.Unlock()
+			if st == taskParked {
+				break
+			}
+		}
+		cancel()
+	}()
+	_, err := Call(ctx, ep, "stuck", func(ctx context.Context) (struct{}, error) {
+		task := TaskFrom(ctx)
+		parked <- task
+		for ctx.Err() == nil {
+			task.Await(ctx)
+		}
+		return struct{}{}, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Call returned %v, want context.Canceled", err)
+	}
+	s := nw.stepper
+	if !s.tainted.Load() {
+		t.Fatal("escaped Call left the trace untainted")
+	}
+	s.taintMu.Lock()
+	reason := s.taintReason
+	s.taintMu.Unlock()
+	if !strings.Contains(reason, `"stuck"`) {
+		t.Fatalf("taint reason does not name the escaping task: %q", reason)
+	}
+}
+
+// BenchmarkGrantHandoff is the unit cost of the step scheduler's grant
+// handoff: two tasks ping-pong through Wake and Await, so every round is two
+// grants, each a park of one task and a resume of the other. It reports
+// ns/grant.
+func BenchmarkGrantHandoff(b *testing.B) {
+	nw := NewNetwork(2)
+	defer nw.Close()
+	nw.Freeze()
+	rounds := b.N
+	done := make(chan struct{})
+	var stop bool
+	var ping, pong *Task
+	pong = nw.Go(nw.Endpoint(1), "pong", func(task *Task) {
+		for {
+			task.Await(nil)
+			if stop {
+				close(done)
+				return
+			}
+			ping.Wake()
+		}
+	})
+	ping = nw.Go(nw.Endpoint(0), "ping", func(task *Task) {
+		for i := 0; i < rounds; i++ {
+			pong.Wake()
+			task.Await(nil)
+		}
+		stop = true
+		pong.Wake()
+	})
+	b.ResetTimer()
+	nw.Thaw()
+	<-done
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*rounds), "ns/grant")
 }

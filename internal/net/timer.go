@@ -126,14 +126,18 @@ func (ep *Endpoint) NewTicker(d time.Duration) *Timer {
 // Sleep blocks this process for d of virtual time: instantly in wall-clock
 // terms once no earlier event is pending, but ordered after everything the
 // network delivers in the meantime. The sleep is a park point of the task
-// ctx carries; a caller that brought no task is adopted for its span. It
-// returns nil after the wait, or the first relevant error if ctx is
+// ctx carries; a caller that brought no task sleeps on a task of its own (see
+// Call). It returns nil after the wait, or the first relevant error if ctx is
 // cancelled or the process crashes (a crashed process never finishes a
 // sleep).
 func (ep *Endpoint) Sleep(ctx context.Context, d time.Duration) error {
-	ctx, release := AdoptTask(ctx, ep, "sleep")
-	defer release()
 	task := TaskFrom(ctx)
+	if task == nil {
+		_, err := Call(ctx, ep, "sleep", func(ctx context.Context) (struct{}, error) {
+			return struct{}{}, ep.Sleep(ctx, d)
+		})
+		return err
+	}
 	t := ep.NewTimer(d)
 	defer t.Stop()
 	t.Bind(task)

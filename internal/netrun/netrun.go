@@ -39,17 +39,18 @@ type Runner struct {
 // cancelled, or the process crashes. Every process of the system must run a
 // Runner with the same Instance for messages to flow.
 func (r *Runner) Run(ctx context.Context) (any, error) {
+	ep := r.Endpoint
+	// A caller that brought no task runs on a task of its own, so the
+	// message/λ-step loop below runs as a scheduler task.
+	task := net.TaskFrom(ctx)
+	if task == nil {
+		return net.Call(ctx, ep, "netrun.run", r.Run)
+	}
 	poll := r.Poll
 	if poll == 0 {
 		poll = 500 * time.Microsecond
 	}
 	instance := "netrun." + r.Instance
-	ep := r.Endpoint
-	// Adopt a caller that brought no task, so the message/λ-step loop below
-	// runs as a scheduler task.
-	ctx, release := net.AdoptTask(ctx, ep, "netrun.run")
-	defer release()
-	task := net.TaskFrom(ctx)
 	stepCtx := sim.StepContext{Self: ep.ID(), N: ep.N()}
 	state := r.Automaton.InitialState(ep.ID(), ep.N(), r.Input)
 

@@ -112,10 +112,11 @@ func (q *PsiQC) Stop() { q.cons.Stop() }
 
 // Propose runs Figure 2 with proposal v.
 func (q *PsiQC) Propose(ctx context.Context, v Value) (Decision, error) {
-	q.metrics.Inc("propose")
-	ctx, release := net.AdoptTask(ctx, q.ep, "qc.propose")
-	defer release()
 	task := net.TaskFrom(ctx)
+	if task == nil {
+		return net.Call(ctx, q.ep, "qc.propose", func(ctx context.Context) (Decision, error) { return q.Propose(ctx, v) })
+	}
+	q.metrics.Inc("propose")
 	ticker := q.ep.NewTicker(q.poll)
 	ticker.Bind(task)
 	defer ticker.Stop()

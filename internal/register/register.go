@@ -344,9 +344,10 @@ func (r *Register[V]) storePhase(ctx context.Context, ts Timestamp, val V) (mode
 // quorum and writes it back to a quorum before returning, so that any later
 // read observes a value at least as fresh.
 func (r *Register[V]) Read(ctx context.Context) (V, error) {
+	if net.TaskFrom(ctx) == nil {
+		return net.Call(ctx, r.ep, "register.read", r.Read)
+	}
 	r.metrics.Inc("ops.read")
-	ctx, release := net.AdoptTask(ctx, r.ep, "register.read")
-	defer release()
 	ts, val, _, err := r.queryPhase(ctx)
 	if err != nil {
 		var zero V
@@ -396,9 +397,10 @@ func (r *Register[V]) Run(ctx context.Context, input any) (any, error) {
 // later read served entirely by other processes could miss the value, which
 // the quorum intersection property forbids).
 func (r *Register[V]) WriteTracked(ctx context.Context, val V) (model.ProcessSet, error) {
+	if net.TaskFrom(ctx) == nil {
+		return net.Call(ctx, r.ep, "register.write", func(ctx context.Context) (model.ProcessSet, error) { return r.WriteTracked(ctx, val) })
+	}
 	r.metrics.Inc("ops.write")
-	ctx, release := net.AdoptTask(ctx, r.ep, "register.write")
-	defer release()
 	ts, _, queryAcks, err := r.queryPhase(ctx)
 	if err != nil {
 		return model.NewProcessSet(), fmt.Errorf("register write (query phase): %w", err)

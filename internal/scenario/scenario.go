@@ -554,16 +554,9 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 	}
 	if traced {
 		res.TraceFingerprint, res.TraceSummary = nw.TraceResult()
+		// Recording stops at finalization, which TraceResult waits for, so
+		// the captures below are complete and no longer written to.
 		tainted := res.TraceSummary.TaintReason != ""
-		if tainted && (jrec != nil || analyzer != nil) {
-			// A wall-clock escape means the runners exited without the
-			// token, so the dispatcher may still be delivering — and
-			// recording. Quiesce it before reading any capture: Close is
-			// idempotent and waits for the dispatcher goroutine. (A clean
-			// finalization needs no such barrier — the last exiting task
-			// holds the token, and recording stops at finalization.)
-			nw.Close()
-		}
 		if analyzer != nil && !tainted {
 			p := &probe.Probes{SchemaVersion: probe.Version, Stream: analyzer.Finish()}
 			if hist != nil {
@@ -595,7 +588,7 @@ func (s *Scenario) Run(ctx context.Context, proto Protocol) Result {
 
 // teeRecorder fans one trace stream out to two recorders (journal capture
 // plus a caller-supplied observer). Calls stay serialized — the tee runs on
-// the same token-serialized path as any single recorder.
+// the same dispatcher-serialized path as any single recorder.
 type teeRecorder struct{ a, b net.TraceRecorder }
 
 func (t teeRecorder) Record(r net.TraceRecord) {

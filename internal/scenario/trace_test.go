@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"weakestfd/internal/fd"
 	"weakestfd/internal/model"
 )
 
@@ -163,5 +166,52 @@ func TestMinimizeTraceRequiresTrace(t *testing.T) {
 	cfg := New(3, WithSeed(111), WithDropRate(1), WithSafetyOnly(), WithTimeout(200*time.Millisecond)).Config()
 	if _, err := MinimizeTrace(context.Background(), cfg, Consensus{}); err == nil || !strings.Contains(err.Error(), "no trace fingerprint") {
 		t.Fatalf("MinimizeTrace accepted a tainted reference run: %v", err)
+	}
+}
+
+// TestTimedOutRunsStayTainted: a run cut by its wall-clock Timeout must come
+// back tainted, with an empty TraceFingerprint, whichever way the cut lands —
+// a runner parked on the cancelled context is resumed out of turn, and one
+// that sees ctx.Err() on an ordinary granted step and exits cleanly still
+// unwound at a point the wall clock chose. The outcome fingerprint of such a
+// run is schedule-independent (every runner errors), so it repeats exactly.
+// The grid is the liveness benchmark's: under ◇S with the initial leader
+// crashed at 0 no run ever decides.
+func TestTimedOutRunsStayTainted(t *testing.T) {
+	base := New(5, WithDelays(time.Millisecond, 50*time.Millisecond),
+		WithDetector(fd.MustParseSpec("eventually-strong{stabilize:50}")),
+		WithCrash(0, 0), WithTimeout(100*time.Millisecond))
+	grid := Grid{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
+	const passes = 10
+	want := make([]string, len(grid.Seeds))
+	for pass := 0; pass < passes; pass++ {
+		var mu sync.Mutex
+		var bad []string
+		got := make([]string, len(grid.Seeds))
+		g := grid
+		g.OnRun = func(i int, res *Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			if res.TraceFingerprint != "" || res.TraceSummary.TaintReason == "" {
+				bad = append(bad, fmt.Sprintf("seed %d: fingerprint %q, taint %q", res.Config.Seed, res.TraceFingerprint, res.TraceSummary.TaintReason))
+			}
+			got[i] = res.Fingerprint()
+		}
+		sr := Sweep(context.Background(), base, g, Consensus{})
+		if sr.Runs != len(grid.Seeds) {
+			t.Fatalf("pass %d: %d runs, want %d", pass, sr.Runs, len(grid.Seeds))
+		}
+		if len(bad) > 0 {
+			t.Fatalf("pass %d: timed-out runs kept an untainted trace:\n%s", pass, strings.Join(bad, "\n"))
+		}
+		if pass == 0 {
+			copy(want, got)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("pass %d seed %d: outcome fingerprint diverged\nfirst: %s\nnow:   %s", pass, grid.Seeds[i], want[i], got[i])
+			}
+		}
 	}
 }
