@@ -209,14 +209,6 @@ func (o *OraclePsi) Mode() model.PsiPhase {
 	return o.mode
 }
 
-// visibleAlive returns the processes whose crash is not yet visible at time
-// now given the suspicion delay. The set is freshly built and owned by the
-// caller.
-func visibleAlive(pattern *model.FailurePattern, now, delay model.Time) model.ProcessSet {
-	alive, _ := pattern.VisiblyAlive(now, delay)
-	return alive
-}
-
 var (
 	_ SigmaSource = (*OracleSigma)(nil)
 	_ OmegaSource = (*OracleOmega)(nil)

@@ -62,8 +62,8 @@ type OracleSuspects struct {
 	StabilizeAfter model.Time
 }
 
-// At implements SuspectSource. A sample computes the visibly-alive set once
-// and builds its output in one pass over the process ids.
+// At implements SuspectSource. A sample builds its output in one pass over
+// the process ids and allocates nothing else.
 func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 	now := o.Clock.Now()
 	n := o.Pattern.N()
@@ -79,21 +79,21 @@ func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 		}
 		return out
 	}
-	alive := visibleAlive(o.Pattern, now, o.SuspicionDelay)
 	// Every visibly crashed process is suspected. ◇S also defames everyone
 	// except the querier and the lowest-id visibly-alive process:
 	// completeness holds (all crashed are suspected), and eventually exactly
 	// one correct process — the eventual leader — is suspected by nobody, the
 	// weak-accuracy clause of ◇S.
 	strong := o.Shape == ShapeEventuallyStrong
-	hasLeader := false
-	size := n - alive.Len()
+	var out model.ProcessSet
 	if strong {
-		size = n
+		out = model.NewProcessSetCap(n)
+	} else {
+		out = model.NewProcessSet()
 	}
-	out := model.NewProcessSetCap(size)
+	hasLeader := false
 	for i := model.ProcessID(0); int(i) < n; i++ {
-		if !alive.Contains(i) {
+		if o.Pattern.CrashTime(i)+o.SuspicionDelay <= now {
 			out.Add(i)
 		} else if strong {
 			if !hasLeader {

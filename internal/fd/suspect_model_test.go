@@ -11,6 +11,13 @@ import (
 // single-pass implementations in suspect.go. The tests compare the two over
 // random failure patterns, sample times, shapes and queriers.
 
+// visibleAlive returns the processes whose crash is not yet visible at time
+// now given the suspicion delay.
+func visibleAlive(pattern *model.FailurePattern, now, delay model.Time) model.ProcessSet {
+	alive, _ := pattern.VisiblyAlive(now, delay)
+	return alive
+}
+
 func refOracleSuspectsAt(o *OracleSuspects, p model.ProcessID) model.ProcessSet {
 	now := o.Clock.Now()
 	n := o.Pattern.N()
