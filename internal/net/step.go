@@ -58,8 +58,8 @@ type Task struct {
 
 	// next resumes the coroutine until its next park or its exit; yield,
 	// called from inside the coroutine, parks it. next is called by the
-	// dispatcher only — or, once the dispatcher has finished, by the one
-	// goroutine that spawned the task on the closed network.
+	// dispatcher only — or, for a task spawned once Close's teardown has
+	// begun, by the goroutine that spawned it.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
@@ -186,9 +186,6 @@ func (t *Task) exit() {
 	t.state = taskDone
 	t.mu.Unlock()
 	s := t.s
-	s.mu.Lock()
-	s.live--
-	s.mu.Unlock()
 	if escaped {
 		s.groupExit(t, false)
 		return
@@ -393,8 +390,7 @@ type stepper struct {
 	ready     []*Task
 	readyHead int
 	nextID    uint64
-	live      int  // spawned tasks that have not exited
-	finished  bool // the dispatcher ran every task to its exit and returned
+	finished  bool // Close's teardown began: spawns run inline, escaped
 
 	// Wall-clock escapes: one context.AfterFunc per distinct Done channel a
 	// task has parked on. A firing registration sets escapes and pokes the
@@ -693,9 +689,9 @@ func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, true, fn)
 }
 
-// spawn creates the task's coroutine and queues it for its first grant. On a
-// network whose dispatcher has already finished, nothing would ever grant it,
-// so the calling goroutine runs it to its exit at once, escaped.
+// spawn creates the task's coroutine and queues it for its first grant. Once
+// Close's teardown has begun nothing would ever grant it, so the calling
+// goroutine runs it to its exit at once, escaped.
 func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
 	s := nw.stepper
 	t := &Task{name: name, ep: ep, s: s, group: group, state: taskReady}
@@ -710,7 +706,6 @@ func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) 
 	s.mu.Lock()
 	s.nextID++
 	t.id = s.nextID
-	s.live++
 	if s.finished {
 		s.mu.Unlock()
 		t.finish()
@@ -733,25 +728,18 @@ func (nw *Network) runEscapes() {
 }
 
 // finishTasks runs every unfinished task to its exit, exactly once, as
-// escaped — tasks that never had a first grant included — then marks the
-// stepper finished so later spawns run inline. Tasks spawned during the
-// teardown are picked up by the next pass. Called by the dispatcher when the
-// queue closes.
+// escaped — tasks that never had a first grant included. Spawns from then on
+// run inline (see spawn), so every task this pass misses was registered
+// before it. Called by the dispatcher when the queue closes.
 func (nw *Network) finishTasks() {
 	s := nw.stepper
-	for {
-		for _, t := range nw.allTasks() {
-			t.finish()
-		}
-		s.mu.Lock()
-		if s.live == 0 {
-			s.finished = true
-			s.mu.Unlock()
-			s.stopWatches()
-			return
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	s.finished = true
+	s.mu.Unlock()
+	for _, t := range nw.allTasks() {
+		t.finish()
 	}
+	s.stopWatches()
 }
 
 // allTasks snapshots every registered task, in process order.
@@ -795,22 +783,9 @@ func (nw *Network) TraceResult() (string, TraceStats) {
 // registerTask records t on its endpoint so a crash can wake it — the woken
 // task observes Context().Err() != nil on its next granted step and unwinds
 // deterministically, so crashes at decision moments replay exactly — and so
-// escapes and Close can find it. Exited tasks are compacted away whenever the
-// list would grow.
+// escapes and Close can find it.
 func (ep *Endpoint) registerTask(t *Task) {
 	ep.mu.Lock()
-	if len(ep.tasks) == cap(ep.tasks) {
-		live := ep.tasks[:0]
-		for _, old := range ep.tasks {
-			old.mu.Lock()
-			if old.state != taskDone {
-				live = append(live, old)
-			}
-			old.mu.Unlock()
-		}
-		clear(ep.tasks[len(live):])
-		ep.tasks = live
-	}
 	ep.tasks = append(ep.tasks, t)
 	ep.mu.Unlock()
 }
