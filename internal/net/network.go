@@ -27,10 +27,11 @@
 // that task's next park before popping the next. Tasks wait in one way only —
 // recheck a condition, then Task.Await — and are woken by message pushes
 // (Instance.Watch), timer fires (Timer.Bind), crashes and explicit Wake
-// calls. A cancelled context a task waits on, and Network.Close, resume tasks
-// out of turn and taint the trace. A run is therefore a pure function of its seed and
-// configuration, down to the trace fingerprint of its full schedule. See
-// ARCHITECTURE.md for the scheduler's design and its determinism guarantees.
+// calls. A run is therefore a pure function of its seed and configuration,
+// down to the trace fingerprint of its full schedule; only a cancelled
+// context a task waits on, or Network.Close, resumes tasks out of turn, and
+// that taints the trace. See ARCHITECTURE.md for the scheduler's design and
+// its determinism guarantees.
 //
 // Protocol instances are interned: the first use of an instance name resolves
 // it to a per-network instState carrying the contiguous mailbox array and the
