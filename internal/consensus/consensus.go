@@ -344,7 +344,7 @@ func (c *BallotConsensus) newAttempt(b Ballot, phase string) *attempt {
 	defer c.mu.Unlock()
 	att := c.scratch
 	if att == nil {
-		att = &attempt{acked: model.NewProcessSetCap(c.ep.N())}
+		att = &attempt{}
 		c.scratch = att
 	}
 	att.ballot = b

@@ -23,6 +23,7 @@ package extract
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,7 +129,7 @@ func StartSigmaExtractor(cfg SigmaExtractorConfig) *SigmaExtractor {
 func (e *SigmaExtractor) Sample() model.ProcessSet {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.output.Clone()
+	return e.output
 }
 
 // Rounds returns how many iterations of the main loop have completed.
@@ -201,7 +202,7 @@ func (e *SigmaExtractor) run(task *net.Task) {
 		}
 		// Line 8: write (k, Ei) into our own register and record the
 		// participants of the write.
-		participants, err := e.regs[self].WriteTracked(ctx, RegContents{K: k, Sets: cloneSets(sets)})
+		participants, err := e.regs[self].WriteTracked(ctx, RegContents{K: k, Sets: slices.Clone(sets)})
 		if err != nil {
 			return
 		}
@@ -209,7 +210,7 @@ func (e *SigmaExtractor) run(task *net.Task) {
 		// Line 9: Ei := Ei ∪ {Pi(k)}.
 		sets = append(sets, participants)
 		// Line 10: Fi := Pi(k−1).
-		trusted := prev.Clone()
+		trusted := prev
 
 		// Lines 11-16: read every register and select one live member of
 		// every participant set it contains.
@@ -233,7 +234,7 @@ func (e *SigmaExtractor) run(task *net.Task) {
 		e.rounds = k
 		e.mu.Unlock()
 		if e.hist != nil {
-			e.hist.Record(e.ep.ID(), e.ep.Clock().Now(), trusted.Clone())
+			e.hist.Record(e.ep.ID(), e.ep.Clock().Now(), trusted)
 		}
 		e.metrics.Inc("rounds")
 
@@ -273,14 +274,6 @@ func (e *SigmaExtractor) selectFrom(ctx context.Context, task *net.Task, x model
 		}
 		return msg.From, true
 	}
-}
-
-func cloneSets(sets []model.ProcessSet) []model.ProcessSet {
-	out := make([]model.ProcessSet, len(sets))
-	for i, s := range sets {
-		out[i] = s.Clone()
-	}
-	return out
 }
 
 // SigmaExtractionGroup wires the full Figure 1 construction over a network: n

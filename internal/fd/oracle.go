@@ -2,6 +2,7 @@ package fd
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"weakestfd/internal/model"
 )
@@ -26,30 +27,32 @@ type OracleSigma struct {
 	// immediately.
 	SuspicionDelay model.Time
 
-	mu         sync.Mutex
-	cached     model.ProcessSet
-	haveCache  bool
-	validUntil model.Time // cache holds for query times < validUntil
-	version    uint64     // pattern version the cache was computed at
+	cache atomic.Pointer[sigmaSample]
 }
 
-// At implements SigmaSource. The returned set is shared across samples and
-// must be treated as immutable: the visible-alive set only changes when a
-// crash is recorded or a suspicion delay expires, so consecutive samples
-// reuse one memoized set instead of rebuilding it on every query — the
-// quorum-guard poll loops of the protocols sample Σ on every tick.
+// sigmaSample is one memoized OracleSigma output; it is never modified once
+// published.
+type sigmaSample struct {
+	set        model.ProcessSet
+	validUntil model.Time // holds for query times < validUntil
+	version    uint64     // pattern version it was computed at
+}
+
+// At implements SigmaSource. The visible-alive set only changes when a crash
+// is recorded or a suspicion delay expires, so consecutive samples reuse one
+// memoized set instead of rebuilding it on every query — the quorum-guard
+// poll loops of the protocols sample Σ on every tick. A hit is one atomic
+// load: no lock, no allocation.
 func (o *OracleSigma) At(model.ProcessID) model.ProcessSet {
 	now := o.Clock.Now()
 	version := o.Pattern.Version()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.haveCache && o.version == version && now < o.validUntil {
-		return o.cached
+	if c := o.cache.Load(); c != nil && c.version == version && now < c.validUntil {
+		return c.set
 	}
-	o.cached, o.validUntil = o.Pattern.VisiblyAlive(now, o.SuspicionDelay)
-	o.haveCache = true
-	o.version = version
-	return o.cached
+	c := &sigmaSample{version: version}
+	c.set, c.validUntil = o.Pattern.VisiblyAlive(now, o.SuspicionDelay)
+	o.cache.Store(c)
+	return c.set
 }
 
 // OracleOmega is the leader detector Ω: it outputs the lowest-id process whose
@@ -85,7 +88,7 @@ type OracleFS struct {
 // At implements FSSource.
 func (o *OracleFS) At(model.ProcessID) model.FSValue {
 	first, ok := o.Pattern.FirstCrashTime()
-	if ok && first+o.DetectionDelay <= o.Clock.Now() {
+	if ok && model.Later(first, o.DetectionDelay) <= o.Clock.Now() {
 		return model.Red
 	}
 	return model.Green

@@ -63,7 +63,7 @@ type OracleSuspects struct {
 }
 
 // At implements SuspectSource. A sample builds its output in one pass over
-// the process ids and allocates nothing else.
+// the process ids; at n ≤ 128 it allocates nothing and it never takes a lock.
 func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 	now := o.Clock.Now()
 	n := o.Pattern.N()
@@ -71,12 +71,8 @@ func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 		// Chaotic prefix: suspect everyone but yourself. Legal for both ◇
 		// classes (their accuracy clauses are eventual) and maximally
 		// disruptive to quorum formation, which is what the prefix is for.
-		out := model.NewProcessSetCap(n)
-		for i := model.ProcessID(0); int(i) < n; i++ {
-			if i != p {
-				out.Add(i)
-			}
-		}
+		out := model.AllProcesses(n)
+		out.Remove(p)
 		return out
 	}
 	// Every visibly crashed process is suspected. ◇S also defames everyone
@@ -86,14 +82,9 @@ func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 	// weak-accuracy clause of ◇S.
 	strong := o.Shape == ShapeEventuallyStrong
 	var out model.ProcessSet
-	if strong {
-		out = model.NewProcessSetCap(n)
-	} else {
-		out = model.NewProcessSet()
-	}
 	hasLeader := false
 	for i := model.ProcessID(0); int(i) < n; i++ {
-		if o.Pattern.CrashTime(i)+o.SuspicionDelay <= now {
+		if model.Later(o.Pattern.CrashTime(i), o.SuspicionDelay) <= now {
 			out.Add(i)
 		} else if strong {
 			if !hasLeader {
@@ -150,21 +141,11 @@ type SuspectSigma struct {
 
 // At implements SigmaSource.
 func (s SuspectSigma) At(p model.ProcessID) model.ProcessSet {
-	suspected := s.Suspects.At(p)
-	trusted := model.NewProcessSetCap(max(s.N-suspected.Len(), 0))
-	for i := model.ProcessID(0); int(i) < s.N; i++ {
-		if !suspected.Contains(i) {
-			trusted.Add(i)
-		}
-	}
+	trusted := model.AllProcesses(s.N).Minus(s.Suspects.At(p))
 	if s.Accurate || 2*trusted.Len() > s.N {
 		return trusted
 	}
-	majority := model.NewProcessSet()
-	for i := 0; i < s.N/2+1; i++ {
-		majority.Add(model.ProcessID(i))
-	}
-	return majority
+	return model.AllProcesses(s.N/2 + 1)
 }
 
 // SuspectFS derives a failure signal from an accurate suspect source: red as

@@ -86,7 +86,7 @@ func StartMajoritySigma(ep *net.Endpoint, interval time.Duration) *MajoritySigma
 func (s *MajoritySigma) Sample() model.ProcessSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.quorum.Clone()
+	return s.quorum
 }
 
 // Stop terminates the background protocol.
@@ -126,12 +126,12 @@ func (s *MajoritySigma) run(task *net.Task) {
 			set, ok := acked[ack.Round]
 			if !ok {
 				set = model.NewProcessSet(s.ep.ID())
-				acked[ack.Round] = set
 			}
 			set.Add(msg.From)
+			acked[ack.Round] = set // a set is a value: write the grown copy back
 			if set.Len() >= majority {
 				s.mu.Lock()
-				s.quorum = set.Clone()
+				s.quorum = set
 				s.mu.Unlock()
 			}
 		}

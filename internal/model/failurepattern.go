@@ -2,14 +2,26 @@ package model
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // NeverCrashes is the crash time recorded for a process that is correct in a
 // failure pattern. Any Time value compared against it is smaller.
 const NeverCrashes = Time(1<<62 - 1)
+
+// Later returns t+d saturated at NeverCrashes: a time that never comes
+// stays never, and a huge delay cannot wrap past it. Every "crash time plus
+// delay" of the detectors goes through it — a correct process's crash time
+// is NeverCrashes, so an unsaturated sum with a large delay would overflow
+// and make it look crashed long ago.
+func Later(t, d Time) Time {
+	if t >= NeverCrashes || d >= NeverCrashes-t {
+		return NeverCrashes
+	}
+	return t + d
+}
 
 // FailurePattern is the function F of the paper: F(t) is the set of processes
 // that have crashed through time t. It is represented by the crash time of
@@ -23,19 +35,25 @@ const NeverCrashes = Time(1<<62 - 1)
 //   - as a live record: the runtime calls Crash(p, t) when it kills a
 //     process, and failure detectors backed by the oracle read CrashedAt.
 //
-// The type is safe for concurrent use.
+// The type is safe for concurrent use. Reads take no lock: the crash times
+// are a per-process array of atomics, which the failure detectors sample on
+// every query.
 type FailurePattern struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex // serialises writers
 	n       int
-	crash   map[ProcessID]Time
+	crash   []atomic.Int64 // per process; NeverCrashes while correct
 	frozen  bool
-	version uint64
+	version atomic.Uint64
 }
 
 // NewFailurePattern returns a failure pattern over n processes in which every
 // process is (so far) correct.
 func NewFailurePattern(n int) *FailurePattern {
-	return &FailurePattern{n: n, crash: make(map[ProcessID]Time, n)}
+	f := &FailurePattern{n: n, crash: make([]atomic.Int64, n)}
+	for i := range f.crash {
+		f.crash[i].Store(int64(NeverCrashes))
+	}
+	return f
 }
 
 // N returns the number of processes in the system.
@@ -53,22 +71,18 @@ func (f *FailurePattern) Crash(p ProcessID, t Time) {
 	if f.frozen {
 		panic("model: Crash called on a frozen FailurePattern")
 	}
-	if old, ok := f.crash[p]; ok && old <= t {
+	if Time(f.crash[p].Load()) <= t {
 		return
 	}
-	f.crash[p] = t
-	f.version++
+	f.crash[p].Store(int64(t))
+	f.version.Add(1)
 }
 
 // Version returns a counter that changes whenever the pattern records a new
 // (or earlier) crash. Detectors that derive values from the pattern can use
 // it to cache across queries: a sample computed at version v over inputs that
 // otherwise only depend on time stays valid while Version() == v.
-func (f *FailurePattern) Version() uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.version
-}
+func (f *FailurePattern) Version() uint64 { return f.version.Load() }
 
 // Freeze marks the pattern immutable; later Crash calls panic. Tests freeze a
 // planned pattern to guard against accidental mutation.
@@ -78,14 +92,13 @@ func (f *FailurePattern) Freeze() {
 	f.frozen = true
 }
 
-// CrashTime returns the crash time of p, or NeverCrashes if p is correct.
+// CrashTime returns the crash time of p, or NeverCrashes if p is correct (or
+// out of range).
 func (f *FailurePattern) CrashTime(p ProcessID) Time {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if t, ok := f.crash[p]; ok {
-		return t
+	if int(p) < 0 || int(p) >= f.n {
+		return NeverCrashes
 	}
-	return NeverCrashes
+	return Time(f.crash[p].Load())
 }
 
 // CrashedAt reports whether p has crashed by time t (p ∈ F(t)).
@@ -95,12 +108,10 @@ func (f *FailurePattern) CrashedAt(p ProcessID, t Time) bool {
 
 // CrashedBy returns F(t): the set of processes that have crashed through t.
 func (f *FailurePattern) CrashedBy(t Time) ProcessSet {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s := NewProcessSet()
-	for p, ct := range f.crash {
-		if ct <= t {
-			s.Add(p)
+	var s ProcessSet
+	for i := range f.crash {
+		if ct := Time(f.crash[i].Load()); ct <= t && ct != NeverCrashes {
+			s.Add(ProcessID(i))
 		}
 	}
 	return s
@@ -108,28 +119,16 @@ func (f *FailurePattern) CrashedBy(t Time) ProcessSet {
 
 // AliveAt returns Π − F(t): the processes that have not crashed by time t.
 func (f *FailurePattern) AliveAt(t Time) ProcessSet {
-	alive := AllProcesses(f.n)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for p, ct := range f.crash {
-		if ct <= t {
-			alive.Remove(p)
-		}
-	}
-	return alive
+	return AllProcesses(f.n).Minus(f.CrashedBy(t))
 }
 
 // MinVisiblyAlive returns the lowest-id process whose crash (if any) is not
 // yet visible at time now given the suspicion delay, and true; or (0, false)
-// if every process's crash is visible. It takes the pattern lock once and
-// allocates nothing, unlike building the full alive set just to take its
-// minimum — the Ω oracle calls this on every sample.
+// if every process's crash is visible. It takes no lock and allocates
+// nothing — the Ω oracle calls this on every sample.
 func (f *FailurePattern) MinVisiblyAlive(now, delay Time) (ProcessID, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for i := 0; i < f.n; i++ {
-		ct, crashed := f.crash[ProcessID(i)]
-		if !crashed || ct+delay > now {
+	for i := range f.crash {
+		if Later(Time(f.crash[i].Load()), delay) > now {
 			return ProcessID(i), true
 		}
 	}
@@ -142,21 +141,12 @@ func (f *FailurePattern) MinVisiblyAlive(now, delay Time) (ProcessID, bool) {
 // (NeverCrashes if it never does). The expiry lets callers cache the set: it
 // is valid for every query time in [now, next).
 func (f *FailurePattern) VisiblyAlive(now, delay Time) (ProcessSet, Time) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	alive := NewProcessSetCap(f.n)
+	var alive ProcessSet
 	next := NeverCrashes
-	for i := 0; i < f.n; i++ {
-		ct, crashed := f.crash[ProcessID(i)]
-		if !crashed {
+	for i := range f.crash {
+		if visibleAt := Later(Time(f.crash[i].Load()), delay); visibleAt > now {
 			alive.Add(ProcessID(i))
-			continue
-		}
-		if visibleAt := ct + delay; visibleAt > now {
-			alive.Add(ProcessID(i))
-			if visibleAt < next {
-				next = visibleAt
-			}
+			next = min(next, visibleAt)
 		}
 	}
 	return alive, next
@@ -165,13 +155,7 @@ func (f *FailurePattern) VisiblyAlive(now, delay Time) (ProcessSet, Time) {
 // Faulty returns faulty(F): every process with a recorded crash, regardless of
 // time.
 func (f *FailurePattern) Faulty() ProcessSet {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s := NewProcessSet()
-	for p := range f.crash {
-		s.Add(p)
-	}
-	return s
+	return f.CrashedBy(NeverCrashes)
 }
 
 // Correct returns correct(F) = Π − faulty(F).
@@ -182,17 +166,11 @@ func (f *FailurePattern) Correct() ProcessSet {
 // FirstCrashTime returns the earliest crash time in the pattern and true, or
 // (0, false) if no process crashes.
 func (f *FailurePattern) FirstCrashTime() (Time, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	found := false
-	var min Time
-	for _, ct := range f.crash {
-		if !found || ct < min {
-			min = ct
-			found = true
-		}
+	first := NeverCrashes
+	for i := range f.crash {
+		first = min(first, Time(f.crash[i].Load()))
 	}
-	return min, found
+	return first, first != NeverCrashes
 }
 
 // FailureOccurredBy reports whether F(t) is non-empty.
@@ -206,31 +184,20 @@ func (f *FailurePattern) NumFaulty() int { return f.Faulty().Len() }
 
 // Clone returns an independent (unfrozen) copy of the pattern.
 func (f *FailurePattern) Clone() *FailurePattern {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	c := NewFailurePattern(f.n)
-	for p, t := range f.crash {
-		c.crash[p] = t
+	for i := range f.crash {
+		c.crash[i].Store(f.crash[i].Load())
 	}
 	return c
 }
 
 // String renders the pattern as "n=5 crashes[p1@10 p3@20]".
 func (f *FailurePattern) String() string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	type ct struct {
-		p ProcessID
-		t Time
-	}
-	cts := make([]ct, 0, len(f.crash))
-	for p, t := range f.crash {
-		cts = append(cts, ct{p, t})
-	}
-	sort.Slice(cts, func(i, j int) bool { return cts[i].p < cts[j].p })
-	parts := make([]string, len(cts))
-	for i, c := range cts {
-		parts[i] = fmt.Sprintf("%v@%d", c.p, c.t)
+	var parts []string
+	for i := range f.crash {
+		if t := Time(f.crash[i].Load()); t != NeverCrashes {
+			parts = append(parts, fmt.Sprintf("%v@%d", ProcessID(i), t))
+		}
 	}
 	return fmt.Sprintf("n=%d crashes[%s]", f.n, strings.Join(parts, " "))
 }

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 )
 
@@ -18,122 +18,206 @@ type Time int64
 // String implements fmt.Stringer.
 func (p ProcessID) String() string { return fmt.Sprintf("p%d", int(p)) }
 
-// ProcessSet is a finite set of process identifiers. The zero value is an
-// empty, usable set once initialised through NewProcessSet or Add on a
-// non-nil map; use NewProcessSet for a ready-to-use value.
+// inlineWords is how many 64-bit words of a ProcessSet are stored inline;
+// ids below inlineIDs need no other storage.
+const (
+	inlineWords = 2
+	inlineIDs   = 64 * inlineWords
+)
+
+// ProcessSet is a finite set of process identifiers, stored as a bitset.
+// Ids below 128 live in two inline words, so every set of a system of at most
+// 128 processes is a plain value: building, copying, querying and combining
+// it allocates nothing. Larger ids spill into an overflow slice that is never
+// written in place — a mutation that changes it installs a fresh one.
+//
+// The zero value is an empty, usable set. A copy of a set (an assignment, a
+// value passed or returned, Clone) is independent of its original: mutating
+// either never changes the other. Code that keeps a set in a map or a struct
+// field must therefore write a mutated copy back.
 type ProcessSet struct {
-	members map[ProcessID]struct{}
+	lo [inlineWords]uint64
+	hi []uint64 // words for ids ≥ inlineIDs; shared by copies, so read-only
 }
 
 // NewProcessSet returns a set containing the given processes.
 func NewProcessSet(ps ...ProcessID) ProcessSet {
-	s := ProcessSet{members: make(map[ProcessID]struct{}, len(ps))}
+	var s ProcessSet
+	var hi []uint64 // owned by this call, so written in place
 	for _, p := range ps {
-		s.members[p] = struct{}{}
+		if p < inlineIDs {
+			s.Add(p)
+			continue
+		}
+		w := int(p-inlineIDs) >> 6
+		for len(hi) <= w {
+			hi = append(hi, 0)
+		}
+		hi[w] |= 1 << (p & 63)
 	}
+	s.hi = hi
 	return s
-}
-
-// NewProcessSetCap returns an empty set with room for n members, for callers
-// that know the eventual size and want to avoid incremental map growth.
-func NewProcessSetCap(n int) ProcessSet {
-	return ProcessSet{members: make(map[ProcessID]struct{}, n)}
 }
 
 // AllProcesses returns the set {0, ..., n-1}.
 func AllProcesses(n int) ProcessSet {
-	s := ProcessSet{members: make(map[ProcessID]struct{}, n)}
-	for i := 0; i < n; i++ {
-		s.members[ProcessID(i)] = struct{}{}
+	var s ProcessSet
+	for i := range s.lo {
+		s.lo[i] = fullWord(n - 64*i)
+	}
+	if n > inlineIDs {
+		s.hi = make([]uint64, (n-inlineIDs+63)/64)
+		for i := range s.hi {
+			s.hi[i] = fullWord(n - inlineIDs - 64*i)
+		}
 	}
 	return s
 }
 
-func (s *ProcessSet) ensure() {
-	if s.members == nil {
-		s.members = make(map[ProcessID]struct{})
+// fullWord returns a word with its lowest min(k, 64) bits set (none if k ≤ 0).
+func fullWord(k int) uint64 {
+	switch {
+	case k <= 0:
+		return 0
+	case k >= 64:
+		return ^uint64(0)
+	default:
+		return 1<<k - 1
 	}
 }
 
-// Add inserts p into the set.
+// Add inserts p into the set. It panics if p is negative.
 func (s *ProcessSet) Add(p ProcessID) {
-	s.ensure()
-	s.members[p] = struct{}{}
-}
-
-// Clear removes every member, keeping the allocated capacity for reuse.
-func (s *ProcessSet) Clear() {
-	clear(s.members)
+	if p < 0 {
+		panic(fmt.Sprintf("model: negative process id %d", int(p)))
+	}
+	if p < inlineIDs {
+		s.lo[p>>6] |= 1 << (p & 63)
+		return
+	}
+	w, bit := int(p-inlineIDs)>>6, uint64(1)<<(p&63)
+	if w < len(s.hi) && s.hi[w]&bit != 0 {
+		return
+	}
+	hi := make([]uint64, max(len(s.hi), w+1))
+	copy(hi, s.hi)
+	hi[w] |= bit
+	s.hi = hi
 }
 
 // Remove deletes p from the set; it is a no-op if p is absent.
 func (s *ProcessSet) Remove(p ProcessID) {
-	if s.members == nil {
+	if !s.Contains(p) {
 		return
 	}
-	delete(s.members, p)
+	if p < inlineIDs {
+		s.lo[p>>6] &^= 1 << (p & 63)
+		return
+	}
+	hi := make([]uint64, len(s.hi))
+	copy(hi, s.hi)
+	hi[int(p-inlineIDs)>>6] &^= 1 << (p & 63)
+	s.hi = hi
 }
+
+// Clear removes every member.
+func (s *ProcessSet) Clear() { *s = ProcessSet{} }
 
 // Contains reports whether p is a member.
 func (s ProcessSet) Contains(p ProcessID) bool {
-	_, ok := s.members[p]
-	return ok
+	if p < 0 {
+		return false
+	}
+	if p < inlineIDs {
+		return s.lo[p>>6]&(1<<(p&63)) != 0
+	}
+	w := int(p-inlineIDs) >> 6
+	return w < len(s.hi) && s.hi[w]&(1<<(p&63)) != 0
 }
 
 // Len returns the number of members.
-func (s ProcessSet) Len() int { return len(s.members) }
+func (s ProcessSet) Len() int {
+	n := 0
+	for _, w := range s.lo {
+		n += bits.OnesCount64(w)
+	}
+	for _, w := range s.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // IsEmpty reports whether the set has no members.
-func (s ProcessSet) IsEmpty() bool { return len(s.members) == 0 }
-
-// Clone returns an independent copy of the set.
-func (s ProcessSet) Clone() ProcessSet {
-	c := ProcessSet{members: make(map[ProcessID]struct{}, len(s.members))}
-	for p := range s.members {
-		c.members[p] = struct{}{}
+func (s ProcessSet) IsEmpty() bool {
+	for _, w := range s.lo {
+		if w != 0 {
+			return false
+		}
 	}
-	return c
+	for _, w := range s.hi {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns a copy of the set; like any copy it is independent of s.
+func (s ProcessSet) Clone() ProcessSet { return s }
+
+// word returns the i-th overflow word of s, zero beyond its end.
+func (s ProcessSet) word(i int) uint64 {
+	if i < len(s.hi) {
+		return s.hi[i]
+	}
+	return 0
+}
+
+// combine returns the set whose every word is op of the words of s and t.
+// The overflow words are computed into a fresh slice, dropped when all zero.
+func (s ProcessSet) combine(t ProcessSet, op func(a, b uint64) uint64) ProcessSet {
+	var u ProcessSet
+	for i := range u.lo {
+		u.lo[i] = op(s.lo[i], t.lo[i])
+	}
+	if n := max(len(s.hi), len(t.hi)); n > 0 {
+		hi := make([]uint64, n)
+		nonzero := false
+		for i := range hi {
+			hi[i] = op(s.word(i), t.word(i))
+			nonzero = nonzero || hi[i] != 0
+		}
+		if nonzero {
+			u.hi = hi
+		}
+	}
+	return u
 }
 
 // Union returns a new set containing the members of s and t.
 func (s ProcessSet) Union(t ProcessSet) ProcessSet {
-	u := s.Clone()
-	for p := range t.members {
-		u.members[p] = struct{}{}
-	}
-	return u
+	return s.combine(t, func(a, b uint64) uint64 { return a | b })
 }
 
 // Intersect returns a new set containing the members common to s and t.
 func (s ProcessSet) Intersect(t ProcessSet) ProcessSet {
-	u := NewProcessSet()
-	for p := range s.members {
-		if t.Contains(p) {
-			u.members[p] = struct{}{}
-		}
-	}
-	return u
+	return s.combine(t, func(a, b uint64) uint64 { return a & b })
 }
 
 // Minus returns a new set containing the members of s that are not in t.
 func (s ProcessSet) Minus(t ProcessSet) ProcessSet {
-	u := NewProcessSet()
-	for p := range s.members {
-		if !t.Contains(p) {
-			u.members[p] = struct{}{}
-		}
-	}
-	return u
+	return s.combine(t, func(a, b uint64) uint64 { return a &^ b })
 }
 
 // Intersects reports whether s and t share at least one member.
 func (s ProcessSet) Intersects(t ProcessSet) bool {
-	small, large := s, t
-	if large.Len() < small.Len() {
-		small, large = large, small
+	for i := range s.lo {
+		if s.lo[i]&t.lo[i] != 0 {
+			return true
+		}
 	}
-	for p := range small.members {
-		if large.Contains(p) {
+	for i := range min(len(s.hi), len(t.hi)) {
+		if s.hi[i]&t.hi[i] != 0 {
 			return true
 		}
 	}
@@ -142,8 +226,13 @@ func (s ProcessSet) Intersects(t ProcessSet) bool {
 
 // SubsetOf reports whether every member of s belongs to t.
 func (s ProcessSet) SubsetOf(t ProcessSet) bool {
-	for p := range s.members {
-		if !t.Contains(p) {
+	for i := range s.lo {
+		if s.lo[i]&^t.lo[i] != 0 {
+			return false
+		}
+	}
+	for i, w := range s.hi {
+		if w&^t.word(i) != 0 {
 			return false
 		}
 	}
@@ -152,41 +241,68 @@ func (s ProcessSet) SubsetOf(t ProcessSet) bool {
 
 // Equal reports whether s and t have exactly the same members.
 func (s ProcessSet) Equal(t ProcessSet) bool {
-	return s.Len() == t.Len() && s.SubsetOf(t)
+	if s.lo != t.lo {
+		return false
+	}
+	for i := range max(len(s.hi), len(t.hi)) {
+		if s.word(i) != t.word(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// All calls yield for every member in ascending order, stopping early if
+// yield returns false.
+func (s ProcessSet) All(yield func(ProcessID) bool) {
+	visit := func(base int, w uint64) bool {
+		for w != 0 {
+			if !yield(ProcessID(base + bits.TrailingZeros64(w))) {
+				return false
+			}
+			w &= w - 1
+		}
+		return true
+	}
+	for i, w := range s.lo {
+		if !visit(64*i, w) {
+			return
+		}
+	}
+	for i, w := range s.hi {
+		if !visit(inlineIDs+64*i, w) {
+			return
+		}
+	}
 }
 
 // Slice returns the members in ascending order.
 func (s ProcessSet) Slice() []ProcessID {
-	out := make([]ProcessID, 0, len(s.members))
-	for p := range s.members {
+	out := make([]ProcessID, 0, s.Len())
+	for p := range s.All {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Min returns the smallest member and true, or 0 and false if the set is empty.
 func (s ProcessSet) Min() (ProcessID, bool) {
-	if s.IsEmpty() {
-		return 0, false
+	for p := range s.All {
+		return p, true
 	}
-	first := true
-	var min ProcessID
-	for p := range s.members {
-		if first || p < min {
-			min = p
-			first = false
-		}
-	}
-	return min, true
+	return 0, false
 }
 
 // String implements fmt.Stringer, e.g. "{p0,p2,p3}".
 func (s ProcessSet) String() string {
-	ids := s.Slice()
-	parts := make([]string, len(ids))
-	for i, p := range ids {
-		parts[i] = p.String()
+	var b strings.Builder
+	b.WriteByte('{')
+	for p := range s.All {
+		if b.Len() > 1 {
+			b.WriteByte(',')
+		}
+		b.WriteString(p.String())
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	b.WriteByte('}')
+	return b.String()
 }

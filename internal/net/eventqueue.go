@@ -101,6 +101,7 @@ type eventQueue struct {
 	rng     splitmix64
 	dropRng splitmix64 // separate stream so drop decisions never shift delay draws
 	vnow    int64      // virtual now (ns); written under mu by the dispatcher
+	jumps   uint64     // virtual-clock jumps popStep has made; dispatcher-owned
 
 	minDelay, maxDelay int64  // message delay range, ns
 	dropThreshold      uint64 // drop a message when dropRng.next() < threshold; 0 = reliable
@@ -319,10 +320,9 @@ func (q *eventQueue) poke(ch chan struct{}) {
 	}
 }
 
-// gapYields is how many scheduler yields popStep grants before letting
-// virtual time jump forward to a timer deadline or a scheduled crash; see
-// popStep.
-const gapYields = 4
+// jumpsPerYield is how many virtual-clock jumps popStep makes between two
+// scheduler yields; see popStep.
+const jumpsPerYield = 64
 
 // stepResult is what popStep tells the dispatcher to do next.
 type stepResult uint8
@@ -343,15 +343,19 @@ const (
 // yield before the clock jumps to a timer deadline: there is no runnable task
 // to outrun.
 //
-// The one bounded yield is for plain goroutines that have not yet reached
-// Call (tests and benchmarks calling protocols directly): on
-// GOMAXPROCS=1 the grant handoffs can starve such a caller for a whole
-// preemption timeslice while virtual time gallops through its poll ticks, so
-// the dispatcher yields a few times before jumping the clock. Such callers
-// are never part of a trace group, so the yield does not touch the trace
-// contract. popStep must only be called by the single dispatcher goroutine.
+// Once the trace group's trace is final the dispatcher pops no more events:
+// it still grants woken tasks and handles escapes, but otherwise idles until
+// Close, so virtual time stops at the trace boundary instead of galloping
+// through detector ticks the run no longer needs.
+//
+// The dispatcher yields its thread once per jumpsPerYield clock jumps. Tasks
+// run on the dispatcher's thread, so on GOMAXPROCS=1 a long gallop through
+// timer deadlines would otherwise hold off, for a preemption timeslice, every
+// other goroutine: a wall-clock Timeout's AfterFunc, or a plain goroutine
+// that has not yet reached Call. Neither is ever part of a trace group, so
+// the yield does not touch the trace contract. popStep must only be called by
+// the single dispatcher goroutine.
 func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
-	yields := 0
 	for {
 		q.mu.Lock()
 		if q.closed {
@@ -375,7 +379,7 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 			q.mu.Unlock()
 			return event{}, stepGrant
 		}
-		if len(q.heap) == 0 {
+		if len(q.heap) == 0 || s.finalized.Load() {
 			q.mu.Unlock()
 			select {
 			case <-q.notify:
@@ -384,10 +388,11 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 			}
 			continue
 		}
-		head := q.heap[0]
-		if head.at > q.vnow && q.kindOf(head) != evMessage {
-			if yields < gapYields {
-				yields++
+		if head := q.heap[0]; head.at > q.vnow && q.kindOf(head) != evMessage {
+			q.jumps++
+			if q.jumps%jumpsPerYield == 0 {
+				// Yield, then start over: the count has moved on, so the
+				// same jump does not yield twice.
 				q.mu.Unlock()
 				runtime.Gosched()
 				continue

@@ -284,7 +284,7 @@ func (r *Register[V]) await(ctx context.Context, p *pending[V]) (model.ProcessSe
 	defer ticker.Stop()
 	for {
 		r.mu.Lock()
-		acked := p.acked.Clone()
+		acked := p.acked
 		r.mu.Unlock()
 		if r.guard.Satisfied(acked) {
 			return acked, nil

@@ -112,7 +112,6 @@ func (a ConsensusAutomaton) Step(ctx StepContext, state State, msg *Message, fdV
 
 func (ConsensusAutomaton) step(ctx StepContext, s consState, msg *Message, os model.OmegaSigmaValue) (consState, []Message) {
 	var out []Message
-	s.acks = s.acks.Clone() // keep the previous state's set immutable
 
 	broadcast := func(typ string, payload any) {
 		for i := 0; i < ctx.N; i++ {
