@@ -397,6 +397,47 @@ func TestBindSampleZeroAllocs(t *testing.T) {
 	}
 }
 
+// suspectSampleClasses are the detector classes BenchmarkSuspectSample
+// covers, one per oracle family.
+var suspectSampleClasses = []string{"omega-sigma", "perfect", "eventually-perfect", "eventually-strong"}
+
+// BenchmarkSuspectSample is the unit cost of one detector query per class and
+// system size: an Ω sample plus a Σ sample through the class's oracle suite,
+// past its stabilization, with one crash visible and no History attached —
+// the query a protocol step makes. It reports ns/op and allocs/op.
+func BenchmarkSuspectSample(b *testing.B) {
+	for _, class := range suspectSampleClasses {
+		for _, n := range []int{5, 100} {
+			b.Run(fmt.Sprintf("%s/n=%d", class, n), func(b *testing.B) {
+				benchSuspectSample(b, class, n)
+			})
+		}
+	}
+}
+
+func benchSuspectSample(b *testing.B, class string, n int) {
+	pattern := model.NewFailurePattern(n)
+	clock := net.NewClock()
+	suite, err := fd.Build(pattern, clock, fd.MustParseSpec(class+"{stabilize:50}"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for clock.Now() < 100 {
+		clock.Tick()
+	}
+	pattern.Crash(1, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		p := model.ProcessID(i % n)
+		bindSink = suite.Omega.At(p)
+		sigmaSink = suite.Sigma.At(p)
+	}
+}
+
+// sigmaSink keeps BenchmarkSuspectSample's Σ samples observable.
+var sigmaSink model.ProcessSet
+
 // BenchmarkSendDeliver measures the raw delivery path: one send through the
 // event queue into a mailbox drained by a receiving task (Watch + TryRecv +
 // Await) per iteration. With the discrete-event scheduler this must not
@@ -556,6 +597,13 @@ func TestEmitBenchJSON(t *testing.T) {
 		t.Errorf("generic Bind query path allocates %d allocs/op, want 0", bind.AllocsPerOp())
 	}
 	add("SendDeliver/virtual", BenchmarkSendDeliver)
+	for _, class := range suspectSampleClasses {
+		for _, n := range []int{5, 100} {
+			add(fmt.Sprintf("SuspectSample/%s/n=%d", class, n), func(b *testing.B) {
+				benchSuspectSample(b, class, n)
+			})
+		}
+	}
 
 	out := struct {
 		GeneratedBy     string        `json:"generated_by"`

@@ -146,8 +146,8 @@ func (e *SigmaExtractor) Metrics() *trace.Metrics { return e.metrics }
 // them, so each observes the cancellation on its next step and exits.
 func (e *SigmaExtractor) Stop() {
 	e.cancel()
-	e.runTask.Wake()
-	e.respTask.Wake()
+	e.runTask.WakeExternal()
+	e.respTask.WakeExternal()
 	<-e.done
 	<-e.respDone
 }

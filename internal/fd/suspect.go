@@ -62,39 +62,36 @@ type OracleSuspects struct {
 	StabilizeAfter model.Time
 }
 
-// At implements SuspectSource. A sample builds its output in one pass over
-// the process ids; at n ≤ 128 it allocates nothing and it never takes a lock.
+// At implements SuspectSource. A sample is a few word operations over the
+// visibly crashed set: at n ≤ 128 it allocates nothing, and it never takes a
+// lock.
 func (o *OracleSuspects) At(p model.ProcessID) model.ProcessSet {
 	now := o.Clock.Now()
-	n := o.Pattern.N()
+	all := model.AllProcesses(o.Pattern.N())
 	if o.Shape != ShapePerfect && now < o.StabilizeAfter {
 		// Chaotic prefix: suspect everyone but yourself. Legal for both ◇
 		// classes (their accuracy clauses are eventual) and maximally
 		// disruptive to quorum formation, which is what the prefix is for.
-		out := model.AllProcesses(n)
-		out.Remove(p)
-		return out
+		all.Remove(p)
+		return all
 	}
-	// Every visibly crashed process is suspected. ◇S also defames everyone
-	// except the querier and the lowest-id visibly-alive process:
-	// completeness holds (all crashed are suspected), and eventually exactly
-	// one correct process — the eventual leader — is suspected by nobody, the
-	// weak-accuracy clause of ◇S.
-	strong := o.Shape == ShapeEventuallyStrong
-	var out model.ProcessSet
-	hasLeader := false
-	for i := model.ProcessID(0); int(i) < n; i++ {
-		if model.Later(o.Pattern.CrashTime(i), o.SuspicionDelay) <= now {
-			out.Add(i)
-		} else if strong {
-			if !hasLeader {
-				hasLeader = true // the lowest visibly-alive id: the spared leader
-			} else if i != p {
-				out.Add(i)
-			}
-		}
+	// Every visibly crashed process is suspected.
+	crashed := o.Pattern.VisiblyCrashed(now, o.SuspicionDelay)
+	if o.Shape != ShapeEventuallyStrong {
+		return crashed
 	}
-	return out
+	// ◇S also defames everyone except the querier and the lowest-id
+	// visibly-alive process: completeness holds (all crashed are suspected),
+	// and eventually exactly one correct process — the eventual leader — is
+	// suspected by nobody, the weak-accuracy clause of ◇S.
+	alive := all.Minus(crashed)
+	if leader, ok := alive.Min(); ok {
+		all.Remove(leader)
+	}
+	if alive.Contains(p) {
+		all.Remove(p)
+	}
+	return all
 }
 
 // SuspectOmega derives Ω from a suspect source: the leader is the lowest-id
@@ -108,11 +105,8 @@ type SuspectOmega struct {
 
 // At implements OmegaSource.
 func (s SuspectOmega) At(p model.ProcessID) model.ProcessID {
-	suspected := s.Suspects.At(p)
-	for i := model.ProcessID(0); int(i) < s.N; i++ {
-		if !suspected.Contains(i) {
-			return i
-		}
+	if leader, ok := model.AllProcesses(s.N).Minus(s.Suspects.At(p)).Min(); ok {
+		return leader
 	}
 	// Everyone suspected (possible only in a chaotic prefix that does not
 	// even spare the querier, or when all processes crashed): the output is

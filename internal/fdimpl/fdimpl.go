@@ -92,7 +92,7 @@ func (s *MajoritySigma) Sample() model.ProcessSet {
 // Stop terminates the background protocol.
 func (s *MajoritySigma) Stop() {
 	s.once.Do(func() { close(s.stop) })
-	s.task.Wake()
+	s.task.WakeExternal()
 	<-s.done
 }
 
@@ -224,7 +224,7 @@ func (o *HeartbeatOmega) Sample() model.ProcessID {
 // Stop terminates the background protocol.
 func (o *HeartbeatOmega) Stop() {
 	o.once.Do(func() { close(o.stop) })
-	o.task.Wake()
+	o.task.WakeExternal()
 	<-o.done
 }
 
@@ -345,7 +345,7 @@ func (f *HeartbeatFS) Sample() model.FSValue {
 // Stop terminates the background protocol.
 func (f *HeartbeatFS) Stop() {
 	f.once.Do(func() { close(f.stop) })
-	f.task.Wake()
+	f.task.WakeExternal()
 	<-f.done
 }
 

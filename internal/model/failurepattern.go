@@ -117,6 +117,20 @@ func (f *FailurePattern) CrashedBy(t Time) ProcessSet {
 	return s
 }
 
+// VisiblyCrashed returns the processes whose crash is visible at time now
+// given the suspicion delay: those with crash time + delay ≤ now. It takes no
+// lock, and at n ≤ 128 it allocates nothing — the suspect oracles call it on
+// every sample.
+func (f *FailurePattern) VisiblyCrashed(now, delay Time) ProcessSet {
+	var s ProcessSet
+	for i := range f.crash {
+		if Later(Time(f.crash[i].Load()), delay) <= now {
+			s.Add(ProcessID(i))
+		}
+	}
+	return s
+}
+
 // AliveAt returns Π − F(t): the processes that have not crashed by time t.
 func (f *FailurePattern) AliveAt(t Time) ProcessSet {
 	return AllProcesses(f.n).Minus(f.CrashedBy(t))

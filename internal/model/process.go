@@ -88,12 +88,18 @@ func fullWord(k int) uint64 {
 
 // Add inserts p into the set. It panics if p is negative.
 func (s *ProcessSet) Add(p ProcessID) {
-	if p < 0 {
-		panic(fmt.Sprintf("model: negative process id %d", int(p)))
-	}
-	if p < inlineIDs {
+	if uint(p) < inlineIDs {
 		s.lo[p>>6] |= 1 << (p & 63)
 		return
+	}
+	s.addHigh(p)
+}
+
+// addHigh is Add for an id outside the inline words: it installs a fresh
+// overflow slice rather than write into one a copy may share.
+func (s *ProcessSet) addHigh(p ProcessID) {
+	if p < 0 {
+		panic(fmt.Sprintf("model: negative process id %d", int(p)))
 	}
 	w, bit := int(p-inlineIDs)>>6, uint64(1)<<(p&63)
 	if w < len(s.hi) && s.hi[w]&bit != 0 {
@@ -107,11 +113,11 @@ func (s *ProcessSet) Add(p ProcessID) {
 
 // Remove deletes p from the set; it is a no-op if p is absent.
 func (s *ProcessSet) Remove(p ProcessID) {
-	if !s.Contains(p) {
+	if uint(p) < inlineIDs {
+		s.lo[p>>6] &^= 1 << (p & 63)
 		return
 	}
-	if p < inlineIDs {
-		s.lo[p>>6] &^= 1 << (p & 63)
+	if !s.Contains(p) {
 		return
 	}
 	hi := make([]uint64, len(s.hi))
@@ -194,20 +200,18 @@ func (s ProcessSet) combine(t ProcessSet, op func(a, b uint64) uint64) ProcessSe
 	return u
 }
 
+func or(a, b uint64) uint64     { return a | b }
+func and(a, b uint64) uint64    { return a & b }
+func andNot(a, b uint64) uint64 { return a &^ b }
+
 // Union returns a new set containing the members of s and t.
-func (s ProcessSet) Union(t ProcessSet) ProcessSet {
-	return s.combine(t, func(a, b uint64) uint64 { return a | b })
-}
+func (s ProcessSet) Union(t ProcessSet) ProcessSet { return s.combine(t, or) }
 
 // Intersect returns a new set containing the members common to s and t.
-func (s ProcessSet) Intersect(t ProcessSet) ProcessSet {
-	return s.combine(t, func(a, b uint64) uint64 { return a & b })
-}
+func (s ProcessSet) Intersect(t ProcessSet) ProcessSet { return s.combine(t, and) }
 
 // Minus returns a new set containing the members of s that are not in t.
-func (s ProcessSet) Minus(t ProcessSet) ProcessSet {
-	return s.combine(t, func(a, b uint64) uint64 { return a &^ b })
-}
+func (s ProcessSet) Minus(t ProcessSet) ProcessSet { return s.combine(t, andNot) }
 
 // Intersects reports whether s and t share at least one member.
 func (s ProcessSet) Intersects(t ProcessSet) bool {
@@ -287,8 +291,15 @@ func (s ProcessSet) Slice() []ProcessID {
 
 // Min returns the smallest member and true, or 0 and false if the set is empty.
 func (s ProcessSet) Min() (ProcessID, bool) {
-	for p := range s.All {
-		return p, true
+	for i, w := range s.lo {
+		if w != 0 {
+			return ProcessID(64*i + bits.TrailingZeros64(w)), true
+		}
+	}
+	for i, w := range s.hi {
+		if w != 0 {
+			return ProcessID(inlineIDs + 64*i + bits.TrailingZeros64(w)), true
+		}
 	}
 	return 0, false
 }

@@ -109,6 +109,11 @@ type eventQueue struct {
 	held   bool // dispatch paused by Network.Freeze
 	closed bool
 
+	// inbox is the work goroutines outside the step discipline hand to the
+	// dispatcher (spawns, external wakes, crash wakes); popStep applies it,
+	// in arrival order, before it looks at anything else.
+	inbox []handoff
+
 	vnowAtomic atomic.Int64  // mirror of vnow for lock-free reads
 	notify     chan struct{} // poked on push
 	quit       chan struct{} // closed on close()
@@ -304,13 +309,44 @@ func (q *eventQueue) scheduleTimer(t *Timer, at int64) {
 	q.poke(q.notify)
 }
 
-// nextLease hands out a run-local timer lease id.
-func (q *eventQueue) nextLease() uint64 {
+// scheduleNewTimer gives t the next run-local lease id and enqueues its first
+// fire delay after the current virtual time, under one lock acquisition.
+func (q *eventQueue) scheduleNewTimer(t *Timer, delay int64) {
 	q.mu.Lock()
 	q.leases++
-	id := q.leases
+	t.id = q.leases
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	q.seq++
+	q.heapPush(q.vnow+delay, eventBody{ev: event{kind: evTimer, tm: t}})
 	q.mu.Unlock()
-	return id
+	q.poke(q.notify)
+}
+
+// handoff queues h for the dispatcher and pokes it. It reports false, and
+// queues nothing, once the queue is closed.
+func (q *eventQueue) handoff(h handoff) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.inbox = append(q.inbox, h)
+	q.mu.Unlock()
+	q.poke(q.notify)
+	return true
+}
+
+// drainInbox applies every queued handoff. Caller holds q.mu and is the
+// dispatcher.
+func (q *eventQueue) drainInbox(s *stepper) {
+	for i, h := range q.inbox {
+		s.apply(h)
+		q.inbox[i] = handoff{}
+	}
+	q.inbox = q.inbox[:0]
 }
 
 func (q *eventQueue) poke(ch chan struct{}) {
@@ -361,6 +397,9 @@ func (q *eventQueue) popStep(s *stepper) (event, stepResult) {
 		if q.closed {
 			q.mu.Unlock()
 			return event{}, stepClosed
+		}
+		if len(q.inbox) > 0 {
+			q.drainInbox(s)
 		}
 		if s.escapes.Load() {
 			q.mu.Unlock()

@@ -237,21 +237,33 @@ func (nw *Network) intern(name string) *instState {
 // Crash kills process p: its crash is recorded in the failure pattern at the
 // current logical time, its context is cancelled, its timers are stopped, and
 // no further messages are delivered to or accepted from it. Crashing an
-// already-crashed process is a no-op.
+// already-crashed process is a no-op. Crash may be called from any
+// goroutine: the wake of p's tasks is handed to the dispatcher, which applies
+// it before its next grant or event. A crash that must be ordered against the
+// schedule is a ScheduleCrash.
 func (nw *Network) Crash(p model.ProcessID) {
+	if ep := nw.kill(p); ep != nil {
+		nw.q.handoff(handoff{kind: handCrash, ep: ep})
+	}
+}
+
+// kill does the part of a crash any goroutine may do and returns p's
+// endpoint, or nil if p had already crashed. The caller then wakes the
+// crashed process's tasks on the dispatcher's thread: each observes its
+// cancelled context on its next granted step and unwinds inside the step
+// discipline, so the error return of a crashed participant is part of the
+// trace, not a race.
+func (nw *Network) kill(p model.ProcessID) *Endpoint {
 	ep := &nw.endpoints[int(p)]
 	if ep.crashed.Swap(true) {
-		return
+		return nil
 	}
 	t := nw.clock.Tick()
 	nw.pattern.Crash(p, t)
 	nw.cCrashes.Inc()
 	ep.ctx.cancel()
 	ep.stopTimers()
-	// Wake the crashed process's tasks: each observes its cancelled context
-	// on its next granted step and unwinds inside the step discipline, so the
-	// error return of a crashed participant is part of the trace, not a race.
-	ep.wakeTasks()
+	return ep
 }
 
 // ScheduleCrash enqueues a crash of process p after the given span of virtual
@@ -417,7 +429,9 @@ func (nw *Network) deliver(ev *event) {
 	case evTimer:
 		ev.tm.fired(ev.at)
 	case evCrash:
-		nw.Crash(ev.msg.To)
+		if ep := nw.kill(ev.msg.To); ep != nil {
+			ep.wakeTasks()
+		}
 	}
 }
 
@@ -458,8 +472,9 @@ type Endpoint struct {
 
 	mu       sync.Mutex
 	timers   []*Timer
-	tasks    []*Task   // tasks owned by this process, woken on crash
 	timerArr [4]*Timer // inline backing for timers: typical processes hold at most a few concurrent leases
+
+	tasks []*Task // tasks owned by this process, woken on crash; dispatcher-owned
 }
 
 // ID returns the process identifier of this endpoint.

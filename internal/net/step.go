@@ -29,6 +29,15 @@ import (
 // number, RNG draw) and every logical-clock tick happens in an order that is
 // a pure function of the seed and the initial schedule — which is what makes
 // the trace fingerprint below byte-reproducible, crash events included.
+//
+// The same serialization lets the scheduler's own state — the ready queue,
+// every task's state and wake credits, every timer's owner and credits, the
+// task lists of the endpoints and the escape registrations — be plain fields
+// owned by the dispatcher's thread: the dispatcher, the task it is running,
+// and the Handle-mode handlers it calls. Nothing on that thread takes a lock
+// to grant, park, wake or fire. A goroutine outside the step discipline never
+// touches that state; it hands its work to the dispatcher instead (see
+// stepper.inbox), under the queue lock popStep takes anyway.
 
 // taskState is the lifecycle of a Task with respect to the dispatcher.
 type taskState uint8
@@ -63,7 +72,7 @@ type Task struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
-	mu      sync.Mutex
+	// Owned by the dispatcher's thread.
 	state   taskState
 	escaped bool
 	wakes   uint64     // wake credits issued
@@ -77,16 +86,28 @@ type Task struct {
 // immediately, so a wakeup issued between a condition check and the park can
 // never be lost. Wake on a done or already-ready task is a no-op beyond the
 // credit.
+//
+// Wake must be called on the dispatcher's thread: by a task or by a
+// Handle-mode handler. A goroutine outside the step discipline uses
+// WakeExternal.
 func (t *Task) Wake() {
-	t.mu.Lock()
+	if t.state == taskDone {
+		return
+	}
 	t.wakes++
 	if t.state != taskParked {
-		t.mu.Unlock()
 		return
 	}
 	t.state = taskReady
-	t.mu.Unlock()
-	t.s.enqueue(t)
+	t.s.ready = append(t.s.ready, t)
+}
+
+// WakeExternal is Wake for a goroutine outside the step discipline — a Stop
+// method or a test. It hands the wake to the dispatcher, which applies it
+// before its next grant or event; after Close it does nothing, since Close
+// runs every task to its exit anyway.
+func (t *Task) WakeExternal() {
+	t.s.q.handoff(handoff{kind: handWake, t: t})
 }
 
 // Await is the park point: it yields back to the dispatcher and returns when
@@ -105,31 +126,25 @@ func (t *Task) Wake() {
 // the caller's next condition check can observe ctx.Err() and unwind. A nil
 // ctx is allowed; Network.Close is then the only escape.
 func (t *Task) Await(ctx context.Context) {
-	t.mu.Lock()
 	if t.escaped || t.seen < t.wakes {
 		t.seen = t.wakes
-		t.mu.Unlock()
 		return
 	}
 	w := t.watchFor(ctx)
 	t.watch = w
 	if w != nil && w.fired.Load() {
 		t.escaped = true
-		t.mu.Unlock()
 		t.s.taint(t)
 		return
 	}
 	t.state = taskParked
-	t.mu.Unlock()
 	t.yield(struct{}{})
-	t.mu.Lock()
 	t.seen = t.wakes
-	t.mu.Unlock()
 }
 
 // watchFor returns the Done registration for ctx, or nil when ctx can never
 // be cancelled. The task caches its latest registration, so the loop of a
-// task that waits on one context resolves it once. Caller holds t.mu.
+// task that waits on one context resolves it once.
 func (t *Task) watchFor(ctx context.Context) *doneWatch {
 	if ctx == nil {
 		return nil
@@ -147,32 +162,24 @@ func (t *Task) watchFor(ctx context.Context) *doneWatch {
 // escapeIfFired resumes t out of turn if it is parked on a context whose
 // registration fired (see Await). Called by the dispatcher only.
 func (t *Task) escapeIfFired() {
-	t.mu.Lock()
 	if t.state == taskParked && t.watch != nil && t.watch.fired.Load() {
 		t.resumeEscaped()
-		return
 	}
-	t.mu.Unlock()
 }
 
 // finish runs t to its exit, escaped, if it has not exited yet — Close's
 // teardown, which includes tasks that never had a first grant.
 func (t *Task) finish() {
-	t.mu.Lock()
 	if t.state == taskParked || t.state == taskReady {
 		t.resumeEscaped()
-		return
 	}
-	t.mu.Unlock()
 }
 
 // resumeEscaped marks t escaped, taints the trace and resumes t, which runs
-// until it exits: an escaped task's Await never parks. Caller holds t.mu;
-// resumeEscaped releases it.
+// until it exits: an escaped task's Await never parks.
 func (t *Task) resumeEscaped() {
 	t.escaped = true
 	t.state = taskGranted
-	t.mu.Unlock()
 	t.s.taint(t)
 	t.next()
 }
@@ -181,12 +188,9 @@ func (t *Task) resumeEscaped() {
 // exiting task records its exit into the trace; an escaped exit only updates
 // the group countdown, whose finalization then reports the taint.
 func (t *Task) exit() {
-	t.mu.Lock()
-	escaped := t.escaped
 	t.state = taskDone
-	t.mu.Unlock()
 	s := t.s
-	if escaped {
+	if t.escaped {
 		s.groupExit(t, false)
 		return
 	}
@@ -242,33 +246,22 @@ func Call[T any](ctx context.Context, ep *Endpoint, name string, op func(context
 // TaskWaiter is a single-waiter wake registration: the waiting side
 // registers its task around the wait loop, the notifying side (typically a
 // Handle-mode handler running on the dispatcher) calls Wake when the waited-on
-// state changes. All methods are safe under concurrent use.
+// state changes. Like Task.Wake, every method must be called on the
+// dispatcher's thread.
 type TaskWaiter struct {
-	mu sync.Mutex
-	t  *Task
+	t *Task
 }
 
 // Set registers t as the waiter.
-func (w *TaskWaiter) Set(t *Task) {
-	w.mu.Lock()
-	w.t = t
-	w.mu.Unlock()
-}
+func (w *TaskWaiter) Set(t *Task) { w.t = t }
 
 // Clear unregisters the waiter.
-func (w *TaskWaiter) Clear() {
-	w.mu.Lock()
-	w.t = nil
-	w.mu.Unlock()
-}
+func (w *TaskWaiter) Clear() { w.t = nil }
 
 // Wake wakes the registered waiter, if any.
 func (w *TaskWaiter) Wake() {
-	w.mu.Lock()
-	t := w.t
-	w.mu.Unlock()
-	if t != nil {
-		t.Wake()
+	if w.t != nil {
+		w.t.Wake()
 	}
 }
 
@@ -386,17 +379,16 @@ type TraceRecorder interface {
 type stepper struct {
 	q *eventQueue
 
-	mu        sync.Mutex
+	// Owned by the dispatcher's thread.
 	ready     []*Task
 	readyHead int
 	nextID    uint64
-	finished  bool // Close's teardown began: spawns run inline, escaped
 
 	// Wall-clock escapes: one context.AfterFunc per distinct Done channel a
 	// task has parked on. A firing registration sets escapes and pokes the
-	// dispatcher, which resumes the tasks parked on it (see popStep).
+	// dispatcher, which resumes the tasks parked on it (see popStep). The
+	// watches map is owned by the dispatcher's thread.
 	escapes atomic.Bool
-	watchMu sync.Mutex
 	watches map[<-chan struct{}]*doneWatch
 
 	// Trace digest. Every record is written on the dispatcher's thread —
@@ -427,7 +419,7 @@ type stepper struct {
 type doneWatch struct {
 	done  <-chan struct{}
 	fired atomic.Bool // the AfterFunc ran: the context is cancelled
-	group bool        // a trace-group task parked on it; guarded by watchMu
+	group bool        // a trace-group task parked on it; dispatcher-owned
 	stop  func() bool // unregisters the AfterFunc
 }
 
@@ -444,8 +436,6 @@ func newStepper(q *eventQueue, rec TraceRecorder) *stepper {
 // on first use. The tasks of one operation share a Done channel (WithTask
 // only adds a value), so a run registers once per context, not per task.
 func (s *stepper) watchDone(ctx context.Context, d <-chan struct{}, group bool) *doneWatch {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
 	w := s.watches[d]
 	if w == nil {
 		if s.watches == nil {
@@ -466,8 +456,6 @@ func (s *stepper) watchDone(ctx context.Context, d <-chan struct{}, group bool) 
 // groupContextDone reports whether a context a trace-group task parked on
 // has been cancelled.
 func (s *stepper) groupContextDone() bool {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
 	for _, w := range s.watches {
 		if !w.group {
 			continue
@@ -484,8 +472,6 @@ func (s *stepper) groupContextDone() bool {
 // stopWatches unregisters every escape registration; Close calls it once no
 // task is left to escape.
 func (s *stepper) stopWatches() {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
 	for _, w := range s.watches {
 		w.stop()
 	}
@@ -507,27 +493,44 @@ func (s *stepper) taintWith(reason string) {
 	s.taintMu.Unlock()
 }
 
-// enqueue appends t to the ready queue and pokes the dispatcher, which may be
-// idle-waiting for work.
-func (s *stepper) enqueue(t *Task) {
-	s.mu.Lock()
-	s.ready = append(s.ready, t)
-	s.mu.Unlock()
-	s.q.poke(s.q.notify)
+// handoffKind names the work a goroutine outside the step discipline hands
+// to the dispatcher.
+type handoffKind uint8
+
+const (
+	handSpawn handoffKind = iota // queue a new task for its first grant
+	handWake                     // Task.WakeExternal
+	handCrash                    // wake the tasks of a process Network.Crash killed
+)
+
+// handoff is one unit of work in the dispatcher's inbox.
+type handoff struct {
+	kind handoffKind
+	t    *Task
+	ep   *Endpoint
+}
+
+// apply performs the handed-off work on the dispatcher's thread.
+func (s *stepper) apply(h handoff) {
+	switch h.kind {
+	case handSpawn:
+		t := h.t
+		s.nextID++
+		t.id = s.nextID
+		t.ep.tasks = append(t.ep.tasks, t)
+		s.ready = append(s.ready, t)
+	case handWake:
+		h.t.Wake()
+	case handCrash:
+		h.ep.wakeTasks()
+	}
 }
 
 // readyPending reports whether any task awaits a grant.
-func (s *stepper) readyPending() bool {
-	s.mu.Lock()
-	pending := s.readyHead < len(s.ready)
-	s.mu.Unlock()
-	return pending
-}
+func (s *stepper) readyPending() bool { return s.readyHead < len(s.ready) }
 
 // popReady removes and returns the oldest ready task, or nil.
 func (s *stepper) popReady() *Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.readyHead >= len(s.ready) {
 		return nil
 	}
@@ -552,14 +555,11 @@ func (s *stepper) runReady() {
 		if t == nil {
 			return
 		}
-		t.mu.Lock()
 		if t.state != taskReady {
 			// Escaped (or exited) between wake and grant.
-			t.mu.Unlock()
 			continue
 		}
 		t.state = taskGranted
-		t.mu.Unlock()
 		s.recordGrant(t)
 		t.next()
 	}
@@ -689,32 +689,21 @@ func (nw *Network) GoGroup(ep *Endpoint, name string, fn func(*Task)) *Task {
 	return nw.spawn(ep, name, true, fn)
 }
 
-// spawn creates the task's coroutine and queues it for its first grant. Once
-// Close's teardown has begun nothing would ever grant it, so the calling
-// goroutine runs it to its exit at once, escaped.
+// spawn creates the task's coroutine and hands it to the dispatcher, which
+// gives it the next task id and queues it for its first grant. Once Close's
+// teardown has begun nothing would ever grant it, so the calling goroutine
+// runs it to its exit at once, escaped.
 func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) *Task {
-	s := nw.stepper
-	t := &Task{name: name, ep: ep, s: s, group: group, state: taskReady}
+	t := &Task{name: name, ep: ep, s: nw.stepper, group: group, state: taskReady}
 	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
-		t.mu.Lock()
 		t.seen = t.wakes
-		t.mu.Unlock()
 		fn(t)
 		t.exit()
 	})
-	s.mu.Lock()
-	s.nextID++
-	t.id = s.nextID
-	if s.finished {
-		s.mu.Unlock()
+	if !nw.q.handoff(handoff{kind: handSpawn, t: t}) {
 		t.finish()
-		return t
 	}
-	ep.registerTask(t)
-	s.ready = append(s.ready, t)
-	s.mu.Unlock()
-	s.q.poke(s.q.notify)
 	return t
 }
 
@@ -722,36 +711,30 @@ func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) 
 // registration fired. Called only by the dispatcher.
 func (nw *Network) runEscapes() {
 	nw.stepper.escapes.Store(false)
-	for _, t := range nw.allTasks() {
-		t.escapeIfFired()
-	}
+	nw.eachTask((*Task).escapeIfFired)
 }
 
 // finishTasks runs every unfinished task to its exit, exactly once, as
-// escaped — tasks that never had a first grant included. Spawns from then on
-// run inline (see spawn), so every task this pass misses was registered
-// before it. Called by the dispatcher when the queue closes.
+// escaped — tasks that never had a first grant included. The queue is
+// closed, so no handoff is accepted any more and spawns from then on run
+// inline (see spawn): the spawns still in the inbox are the last ones to
+// register. Called by the dispatcher when the queue closes.
 func (nw *Network) finishTasks() {
-	s := nw.stepper
-	s.mu.Lock()
-	s.finished = true
-	s.mu.Unlock()
-	for _, t := range nw.allTasks() {
-		t.finish()
-	}
-	s.stopWatches()
+	nw.q.mu.Lock()
+	nw.q.drainInbox(nw.stepper)
+	nw.q.mu.Unlock()
+	nw.eachTask((*Task).finish)
+	nw.stepper.stopWatches()
 }
 
-// allTasks snapshots every registered task, in process order.
-func (nw *Network) allTasks() []*Task {
-	var all []*Task
+// eachTask calls fn for every registered task, in process order. Called
+// only by the dispatcher.
+func (nw *Network) eachTask(fn func(*Task)) {
 	for i := range nw.endpoints {
-		ep := &nw.endpoints[i]
-		ep.mu.Lock()
-		all = append(all, ep.tasks...)
-		ep.mu.Unlock()
+		for _, t := range nw.endpoints[i].tasks {
+			fn(t)
+		}
 	}
-	return all
 }
 
 // TraceGroup arms trace recording and declares the number of GoGroup tasks
@@ -780,23 +763,12 @@ func (nw *Network) TraceResult() (string, TraceStats) {
 	return s.final, s.finalStats
 }
 
-// registerTask records t on its endpoint so a crash can wake it — the woken
-// task observes Context().Err() != nil on its next granted step and unwinds
-// deterministically, so crashes at decision moments replay exactly — and so
-// escapes and Close can find it.
-func (ep *Endpoint) registerTask(t *Task) {
-	ep.mu.Lock()
-	ep.tasks = append(ep.tasks, t)
-	ep.mu.Unlock()
-}
-
-// wakeTasks wakes every task registered on the endpoint.
+// wakeTasks wakes every task registered on the endpoint — so a crash can wake
+// them: each woken task observes Context().Err() != nil on its next granted
+// step and unwinds deterministically, so crashes at decision moments replay
+// exactly. Called only on the dispatcher's thread.
 func (ep *Endpoint) wakeTasks() {
-	ep.mu.Lock()
-	tasks := make([]*Task, len(ep.tasks))
-	copy(tasks, ep.tasks)
-	ep.mu.Unlock()
-	for _, t := range tasks {
+	for _, t := range ep.tasks {
 		t.Wake()
 	}
 }

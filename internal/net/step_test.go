@@ -145,24 +145,6 @@ func TestWakeCreditNotLost(t *testing.T) {
 	}
 }
 
-// waitState polls until task reaches state, failing after a few seconds.
-func waitState(t *testing.T, task *Task, state taskState) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		task.mu.Lock()
-		st := task.state
-		task.mu.Unlock()
-		if st == state {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("task %q stuck in state %d, want %d", task.name, st, state)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestCloseFinishesEveryTaskOnce: Close runs every unfinished task to its
 // exit exactly once — one parked with no wake pending, one woken and still
 // queued for its grant, and one spawned under Freeze that never had a first
@@ -171,24 +153,27 @@ func TestCloseFinishesEveryTaskOnce(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	nw := NewNetwork(2, WithSeed(3))
 	var runs, exits [3]atomic.Int32
+	started := make(chan struct{}, 2)
 	body := func(i int) func(*Task) {
 		return func(task *Task) {
 			runs[i].Add(1)
 			defer exits[i].Add(1)
+			started <- struct{}{}
 			for task.ep.Context().Err() == nil {
 				task.Await(nil)
 			}
 		}
 	}
-	parked := nw.Go(nw.Endpoint(0), "parked", body(0))
+	nw.Go(nw.Endpoint(0), "parked", body(0))
 	ready := nw.Go(nw.Endpoint(1), "ready", body(1))
-	waitState(t, parked, taskParked)
-	waitState(t, ready, taskParked)
+	<-started
+	<-started
+	// Both tasks are on their first step or parked. Frozen, the dispatcher
+	// grants nothing more: it parks them both, then queues the woken one and
+	// the fresh one, which never gets a grant.
 	nw.Freeze()
-	ready.Wake()
-	fresh := nw.Go(nw.Endpoint(0), "fresh", body(2))
-	waitState(t, ready, taskReady)
-	waitState(t, fresh, taskReady)
+	ready.WakeExternal()
+	nw.Go(nw.Endpoint(0), "fresh", body(2))
 	nw.Close()
 	for i, name := range []string{"parked", "ready", "fresh"} {
 		if r, e := runs[i].Load(), exits[i].Load(); r != 1 || e != 1 {
@@ -246,20 +231,16 @@ func TestCallEscapesOnCancel(t *testing.T) {
 	go func() {
 		// Cancel once the task has parked. A timeout cancels too, and the
 		// assertions below then fail on an unnamed or missing taint.
-		task := <-parked
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			task.mu.Lock()
-			st := task.state
-			task.mu.Unlock()
-			if st == taskParked {
-				break
-			}
-		}
+		<-parked
+		time.Sleep(10 * time.Millisecond) // let it park with no wake pending
 		cancel()
 	}()
 	_, err := Call(ctx, ep, "stuck", func(ctx context.Context) (struct{}, error) {
 		task := TaskFrom(ctx)
 		parked <- task
+		// Await at least once, so the cancellation always escapes a park,
+		// even if it lands before the first one.
+		task.Await(ctx)
 		for ctx.Err() == nil {
 			task.Await(ctx)
 		}

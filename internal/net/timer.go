@@ -2,7 +2,7 @@ package net
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,84 +19,70 @@ import (
 // process crashes or the network closes.
 type Timer struct {
 	q      *eventQueue
-	id     uint64 // run-local lease id (eventQueue.nextLease), hashed into the trace
+	id     uint64 // run-local lease id (eventQueue.scheduleNewTimer), hashed into the trace
 	period int64  // ns; 0 for one-shot
 
-	mu      sync.Mutex
-	stopped bool
+	// stopped and spent are read by any goroutine (Stopped); stopped is also
+	// set by any goroutine (Stop).
+	stopped atomic.Bool // Stop was called: no more fires, credits dropped
+	spent   atomic.Bool // a one-shot fired: no more fires, its credit stays
+
+	// Owned by the dispatcher's thread.
 	owner   *Task
 	pending int
 }
 
 func newTimer(q *eventQueue, delay, period time.Duration) *Timer {
-	t := &Timer{q: q, id: q.nextLease(), period: int64(period)}
-	q.scheduleTimer(t, int64(q.virtualNow())+int64(delay))
+	t := &Timer{q: q, period: int64(period)}
+	q.scheduleNewTimer(t, int64(delay))
 	return t
 }
 
 // Stop terminates the timer: it never fires again and its unconsumed credits
-// are dropped. Stop is idempotent and safe to call concurrently with fires.
-func (t *Timer) Stop() {
-	t.mu.Lock()
-	t.stopped = true
-	t.pending = 0
-	t.mu.Unlock()
-}
+// are dropped. Stop is idempotent and may be called from any goroutine.
+func (t *Timer) Stop() { t.stopped.Store(true) }
 
 // Bind makes task the timer's owner: every fire wakes it. A credit banked
 // before the binding wakes the task at once, so the binding may come at any
-// point of the owner's first step.
+// point of the owner's first step. Like Task.Wake, Bind must be called on the
+// dispatcher's thread.
 func (t *Timer) Bind(task *Task) {
-	t.mu.Lock()
 	t.owner = task
-	banked := t.pending > 0
-	t.mu.Unlock()
-	if banked {
+	if t.pending > 0 && !t.stopped.Load() {
 		task.Wake()
 	}
 }
 
 // TryFire consumes one banked fire, reporting whether one was pending. For a
 // ticker each fire banks one credit; for a one-shot at most one credit ever
-// exists.
+// exists. Called by the owning task.
 func (t *Timer) TryFire() bool {
-	t.mu.Lock()
-	ok := t.pending > 0
-	if ok {
-		t.pending--
+	if t.pending == 0 || t.stopped.Load() {
+		return false
 	}
-	t.mu.Unlock()
-	return ok
+	t.pending--
+	return true
 }
 
 // Stopped reports whether the timer is dead: stopped explicitly, or a
 // one-shot that has fired.
-func (t *Timer) Stopped() bool {
-	t.mu.Lock()
-	dead := t.stopped
-	t.mu.Unlock()
-	return dead
-}
+func (t *Timer) Stopped() bool { return t.stopped.Load() || t.spent.Load() }
 
 // fired is called by the dispatcher when a timer heap event pops at virtual
 // time at; events of a stopped timer are discarded here. A periodic timer
 // reschedules its next fire before banking this one.
 func (t *Timer) fired(at int64) {
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
+	if t.stopped.Load() {
 		return
 	}
 	if t.period > 0 {
 		t.q.scheduleTimer(t, at+t.period)
 	} else {
-		t.stopped = true
+		t.spent.Store(true)
 	}
 	t.pending++
-	owner := t.owner
-	t.mu.Unlock()
-	if owner != nil {
-		owner.Wake()
+	if t.owner != nil {
+		t.owner.Wake()
 	}
 }
 

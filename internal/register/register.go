@@ -177,7 +177,7 @@ func (r *Register[V]) Endpoint() *net.Endpoint { return r.ep }
 // replica, exactly as if the process stopped participating.
 func (r *Register[V]) Stop() {
 	r.stopOnce.Do(func() { close(r.stop) })
-	r.task.Wake()
+	r.task.WakeExternal()
 	<-r.done
 }
 
