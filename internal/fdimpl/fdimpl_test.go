@@ -72,6 +72,46 @@ func TestMajoritySigmaConvergesToCorrectMajority(t *testing.T) {
 	}
 }
 
+// TestMajoritySigmaAckSetsAccumulate: a round's ack set grows by one member
+// per ack until it is a majority, which then becomes the quorum. Sets are
+// values, so the loop must write each grown set back into its per-round map;
+// if it did not, no set would ever grow past {self, sender}, and with a
+// majority of 4 out of 7 the quorum would stay the initial full set.
+func TestMajoritySigmaAckSetsAccumulate(t *testing.T) {
+	const n = 7
+	nw := net.NewNetwork(n, net.WithSeed(3))
+	defer nw.Close()
+	nw.Freeze()
+	sigmas := make([]*MajoritySigma, n)
+	for i := range sigmas {
+		sigmas[i] = StartMajoritySigma(nw.Endpoint(model.ProcessID(i)), 5*time.Millisecond)
+	}
+	nw.Crash(5)
+	nw.Crash(6)
+	nw.Thaw()
+	defer func() {
+		for _, s := range sigmas[:5] {
+			s.Stop()
+		}
+	}()
+	correct := model.AllProcesses(5)
+	ok := eventually(5*time.Second, func() bool {
+		for i := range 5 {
+			q := sigmas[i].Sample()
+			if q.Len() < n/2+1 || !q.SubsetOf(correct) || !q.Contains(model.ProcessID(i)) {
+				return false
+			}
+		}
+		return true
+	})
+	if !ok {
+		for i := range 5 {
+			t.Logf("sigma[%d] = %v", i, sigmas[i].Sample())
+		}
+		t.Fatal("no process formed a majority quorum of correct responders")
+	}
+}
+
 func TestMajoritySigmaInitialQuorumIsFullSet(t *testing.T) {
 	nw := net.NewNetwork(3, net.WithSeed(2))
 	defer nw.Close()

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -241,5 +242,37 @@ func TestEnvironmentFunc(t *testing.T) {
 	f.Crash(0, 1)
 	if env.Allows(f) {
 		t.Fatalf("Allows = true after p0 crash")
+	}
+}
+
+// TestCrashVisibilitySaturatesAtHugeDelay: at delay = MaxInt64 a correct
+// process (crash time NeverCrashes) stays visibly alive, and a crash stays
+// invisible — the sum "crash time + delay" saturates at NeverCrashes instead
+// of wrapping negative.
+func TestCrashVisibilitySaturatesAtHugeDelay(t *testing.T) {
+	const huge = Time(math.MaxInt64)
+	if got := Later(NeverCrashes, huge); got != NeverCrashes {
+		t.Fatalf("Later(NeverCrashes, MaxInt64) = %d", got)
+	}
+	if got := Later(10, huge); got != NeverCrashes {
+		t.Fatalf("Later(10, MaxInt64) = %d", got)
+	}
+	if got := Later(10, 5); got != 15 {
+		t.Fatalf("Later(10, 5) = %d", got)
+	}
+	f := NewFailurePattern(3)
+	f.Crash(1, 10)
+	now := Time(1 << 40)
+	if s := f.VisiblyCrashed(now, huge); !s.IsEmpty() {
+		t.Fatalf("VisiblyCrashed at MaxInt64 delay = %v, want {}", s)
+	}
+	if s, next := f.VisiblyAlive(now, huge); !s.Equal(AllProcesses(3)) || next != NeverCrashes {
+		t.Fatalf("VisiblyAlive at MaxInt64 delay = %v, next %d", s, next)
+	}
+	if p, ok := f.MinVisiblyAlive(now, huge); !ok || p != 0 {
+		t.Fatalf("MinVisiblyAlive at MaxInt64 delay = %v, %v", p, ok)
+	}
+	if s := f.VisiblyCrashed(now, 0); !s.Equal(NewProcessSet(1)) {
+		t.Fatalf("VisiblyCrashed at delay 0 = %v, want {p1}", s)
 	}
 }

@@ -235,3 +235,19 @@ func TestMinimizeZeroesIrrelevantDetectorSpec(t *testing.T) {
 		t.Fatalf("minimal schedule has %d crashes, want 3", len(min.Config.Crashes))
 	}
 }
+
+// TestHugeSuspicionDelayDoesNotWrap is the regression test for crash
+// visibility at the largest delay: a correct process's crash time is
+// model.NeverCrashes, and "crash time + delay" once wrapped int64 for it, so P
+// suspected every correct process and consensus lost agreement. The sweep is
+// `sweep -proto consensus -n 3 -seeds 1 -detectors 'perfect{suspect:9223372036854775807}'`.
+func TestHugeSuspicionDelayDoesNotWrap(t *testing.T) {
+	grid := Grid{Seeds: []int64{1}}
+	for _, class := range []string{"perfect", "eventually-perfect", "omega-sigma"} {
+		grid.Detectors = append(grid.Detectors, fd.MustParseSpec(class+"{suspect:9223372036854775807}"))
+	}
+	res := Sweep(context.Background(), New(3), grid, Consensus{})
+	if res.Runs != len(grid.Detectors) || !res.AllPassed() {
+		t.Fatalf("%d of %d runs passed; first: %v", res.Passed, res.Runs, firstViolation(res))
+	}
+}
