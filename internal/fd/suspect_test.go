@@ -1,6 +1,8 @@
 package fd
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -191,3 +193,56 @@ func TestSuspectFSRedExactlyOnSuspicion(t *testing.T) {
 		t.Fatalf("green after the crash became visible")
 	}
 }
+
+// TestOracleSamplesDuringCrashes samples every oracle class from several
+// goroutines while crashes are recorded, as a run's detector queries and its
+// fault injection do. The pattern's crash times and OracleSigma's memo are
+// read without a lock; under -race this checks they are read safely, and
+// every sample must still satisfy its class's perpetual clause at the end.
+func TestOracleSamplesDuringCrashes(t *testing.T) {
+	const n = 9
+	pattern := model.NewFailurePattern(n)
+	clock := &atomicClock{}
+	var suites []*Suite
+	for _, class := range []string{"omega-sigma", "perfect", "eventually-strong{stabilize:5}"} {
+		s, err := Build(pattern, clock, MustParseSpec(class))
+		if err != nil {
+			t.Fatal(err)
+		}
+		suites = append(suites, s)
+	}
+	var wg sync.WaitGroup
+	for g := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2000 {
+				p := model.ProcessID((g + i) % n)
+				for _, s := range suites {
+					s.Omega.At(p)
+					s.Sigma.At(p)
+				}
+			}
+		}()
+	}
+	for p := range model.ProcessID(4) {
+		clock.t.Add(10)
+		pattern.Crash(p, model.Time(clock.t.Load()))
+	}
+	wg.Wait()
+	clock.t.Add(10)
+	alive := model.AllProcesses(n).Minus(model.AllProcesses(4))
+	for _, s := range suites[:2] {
+		if q := s.Sigma.At(5); !q.Equal(alive) {
+			t.Fatalf("Σ after the crashes = %v, want %v", q, alive)
+		}
+		if l := s.Omega.At(5); l != 4 {
+			t.Fatalf("Ω after the crashes = %v, want p4", l)
+		}
+	}
+}
+
+// atomicClock is a TimeSource safe to read while a test advances it.
+type atomicClock struct{ t atomic.Int64 }
+
+func (c *atomicClock) Now() model.Time { return model.Time(c.t.Load()) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -296,4 +297,64 @@ func BenchmarkGrantHandoff(b *testing.B) {
 	<-done
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*rounds), "ns/grant")
+}
+
+// TestHandoffsFromManyGoroutines drives every cross-goroutine entry at once —
+// spawns through Call from plain goroutines, WakeExternal, Crash from outside
+// the dispatcher, Freeze/Thaw and finally Close — while tasks run. Under
+// -race it checks that none of them touches the dispatcher-owned state; every
+// Call must still return, and every task must exit exactly once.
+func TestHandoffsFromManyGoroutines(t *testing.T) {
+	const n = 4
+	nw := NewNetwork(n, WithSeed(6), WithDelays(0, time.Millisecond))
+	var exits atomic.Int32
+	loops := make([]*Task, n)
+	for i := range loops {
+		ep := nw.Endpoint(model.ProcessID(i))
+		loops[i] = nw.Go(ep, "loop", func(task *Task) {
+			defer exits.Add(1)
+			tm := ep.NewTicker(time.Millisecond)
+			defer tm.Stop()
+			tm.Bind(task)
+			for ep.Context().Err() == nil {
+				tm.TryFire()
+				task.Await(nil)
+			}
+		})
+	}
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ep := nw.Endpoint(model.ProcessID(i))
+			for range 20 {
+				// A crashed process's sleep ends with its context's error.
+				_ = ep.Sleep(context.Background(), time.Duration(i+1)*time.Millisecond)
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range 200 {
+			loops[i%n].WakeExternal()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for range 10 {
+			nw.Freeze()
+			nw.Thaw()
+		}
+		nw.Crash(n - 1)
+	}()
+	wg.Wait()
+	nw.Close()
+	if got := exits.Load(); got != n {
+		t.Fatalf("%d loop tasks exited, want %d", got, n)
+	}
+	if !nw.Crashed(n - 1) {
+		t.Fatal("Crash from a plain goroutine did not take effect")
+	}
 }
