@@ -43,19 +43,9 @@ type ProcessSet struct {
 // NewProcessSet returns a set containing the given processes.
 func NewProcessSet(ps ...ProcessID) ProcessSet {
 	var s ProcessSet
-	var hi []uint64 // owned by this call, so written in place
 	for _, p := range ps {
-		if p < inlineIDs {
-			s.Add(p)
-			continue
-		}
-		w := int(p-inlineIDs) >> 6
-		for len(hi) <= w {
-			hi = append(hi, 0)
-		}
-		hi[w] |= 1 << (p & 63)
+		s.Add(p)
 	}
-	s.hi = hi
 	return s
 }
 
@@ -182,9 +172,8 @@ func (s ProcessSet) word(i int) uint64 {
 // combine returns the set whose every word is op of the words of s and t.
 // The overflow words are computed into a fresh slice, dropped when all zero.
 func (s ProcessSet) combine(t ProcessSet, op func(a, b uint64) uint64) ProcessSet {
-	var u ProcessSet
-	for i := range u.lo {
-		u.lo[i] = op(s.lo[i], t.lo[i])
+	for i := range s.lo {
+		s.lo[i] = op(s.lo[i], t.lo[i])
 	}
 	if n := max(len(s.hi), len(t.hi)); n > 0 {
 		hi := make([]uint64, n)
@@ -193,25 +182,28 @@ func (s ProcessSet) combine(t ProcessSet, op func(a, b uint64) uint64) ProcessSe
 			hi[i] = op(s.word(i), t.word(i))
 			nonzero = nonzero || hi[i] != 0
 		}
+		s.hi = nil
 		if nonzero {
-			u.hi = hi
+			s.hi = hi
 		}
 	}
-	return u
+	return s
 }
 
-func or(a, b uint64) uint64     { return a | b }
-func and(a, b uint64) uint64    { return a & b }
-func andNot(a, b uint64) uint64 { return a &^ b }
-
 // Union returns a new set containing the members of s and t.
-func (s ProcessSet) Union(t ProcessSet) ProcessSet { return s.combine(t, or) }
+func (s ProcessSet) Union(t ProcessSet) ProcessSet {
+	return s.combine(t, func(a, b uint64) uint64 { return a | b })
+}
 
 // Intersect returns a new set containing the members common to s and t.
-func (s ProcessSet) Intersect(t ProcessSet) ProcessSet { return s.combine(t, and) }
+func (s ProcessSet) Intersect(t ProcessSet) ProcessSet {
+	return s.combine(t, func(a, b uint64) uint64 { return a & b })
+}
 
 // Minus returns a new set containing the members of s that are not in t.
-func (s ProcessSet) Minus(t ProcessSet) ProcessSet { return s.combine(t, andNot) }
+func (s ProcessSet) Minus(t ProcessSet) ProcessSet {
+	return s.combine(t, func(a, b uint64) uint64 { return a &^ b })
+}
 
 // Intersects reports whether s and t share at least one member.
 func (s ProcessSet) Intersects(t ProcessSet) bool {
@@ -256,9 +248,9 @@ func (s ProcessSet) Equal(t ProcessSet) bool {
 	return true
 }
 
-// All calls yield for every member in ascending order, stopping early if
+// members calls yield for every member in ascending order, stopping early if
 // yield returns false.
-func (s ProcessSet) All(yield func(ProcessID) bool) {
+func (s ProcessSet) members(yield func(ProcessID) bool) {
 	visit := func(base int, w uint64) bool {
 		for w != 0 {
 			if !yield(ProcessID(base + bits.TrailingZeros64(w))) {
@@ -283,7 +275,7 @@ func (s ProcessSet) All(yield func(ProcessID) bool) {
 // Slice returns the members in ascending order.
 func (s ProcessSet) Slice() []ProcessID {
 	out := make([]ProcessID, 0, s.Len())
-	for p := range s.All {
+	for p := range s.members {
 		out = append(out, p)
 	}
 	return out
@@ -308,7 +300,7 @@ func (s ProcessSet) Min() (ProcessID, bool) {
 func (s ProcessSet) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for p := range s.All {
+	for p := range s.members {
 		if b.Len() > 1 {
 			b.WriteByte(',')
 		}

@@ -325,9 +325,9 @@ func (q *eventQueue) scheduleNewTimer(t *Timer, delay int64) {
 	q.poke(q.notify)
 }
 
-// handoff queues h for the dispatcher and pokes it. It reports false, and
+// post queues h for the dispatcher and pokes it. It reports false, and
 // queues nothing, once the queue is closed.
-func (q *eventQueue) handoff(h handoff) bool {
+func (q *eventQueue) post(h handoff) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()

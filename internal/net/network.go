@@ -30,8 +30,11 @@
 // calls. A run is therefore a pure function of its seed and configuration,
 // down to the trace fingerprint of its full schedule; only a cancelled
 // context a task waits on, or Network.Close, resumes tasks out of turn, and
-// that taints the trace. See ARCHITECTURE.md for the scheduler's design and
-// its determinism guarantees.
+// that taints the trace. The scheduler's state is owned by the dispatcher's
+// thread and taken without locks; a goroutine outside the step discipline
+// hands its spawns, wakes (Task.WakeExternal) and crash wakes to the
+// dispatcher instead. See ARCHITECTURE.md for the scheduler's design and its
+// determinism guarantees.
 //
 // Protocol instances are interned: the first use of an instance name resolves
 // it to a per-network instState carrying the contiguous mailbox array and the
@@ -243,7 +246,7 @@ func (nw *Network) intern(name string) *instState {
 // schedule is a ScheduleCrash.
 func (nw *Network) Crash(p model.ProcessID) {
 	if ep := nw.kill(p); ep != nil {
-		nw.q.handoff(handoff{kind: handCrash, ep: ep})
+		nw.q.post(handoff{kind: handCrash, ep: ep})
 	}
 }
 

@@ -107,7 +107,7 @@ func (t *Task) Wake() {
 // before its next grant or event; after Close it does nothing, since Close
 // runs every task to its exit anyway.
 func (t *Task) WakeExternal() {
-	t.s.q.handoff(handoff{kind: handWake, t: t})
+	t.s.q.post(handoff{kind: handWake, t: t})
 }
 
 // Await is the park point: it yields back to the dispatcher and returns when
@@ -701,7 +701,7 @@ func (nw *Network) spawn(ep *Endpoint, name string, group bool, fn func(*Task)) 
 		fn(t)
 		t.exit()
 	})
-	if !nw.q.handoff(handoff{kind: handSpawn, t: t}) {
+	if !nw.q.post(handoff{kind: handSpawn, t: t}) {
 		t.finish()
 	}
 	return t

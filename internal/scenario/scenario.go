@@ -358,12 +358,16 @@ type Result struct {
 	// Outcomes holds one entry per participating process, indexed by id.
 	Outcomes []Outcome
 	// Pattern is the failure pattern the run actually exhibited (scheduled
-	// crashes that came due after the run completed are absent).
+	// crashes that came due after the last runner's exit are absent: the
+	// network pops no event past the trace boundary).
 	Pattern *model.FailurePattern
 	// Metrics is the network's counter snapshot.
 	Metrics map[string]int64
-	// VirtualEnd is the virtual clock when the run finished; Wall is the
-	// wall-clock time it took. Their ratio is the speedup virtual time buys.
+	// VirtualEnd is the virtual clock when the run finished: the time of
+	// the last event before the last runner's exit, where the network stops
+	// popping events — as deterministic as the trace itself. Wall is the
+	// wall-clock time the run took; their ratio is the speedup virtual time
+	// buys.
 	VirtualEnd time.Duration
 	// Wall is the run's wall-clock duration.
 	Wall time.Duration
